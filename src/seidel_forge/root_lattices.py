@@ -31,7 +31,6 @@ __all__ = [
     "in_lattice",
     "gram_determinant",
     "classify_root_lattice",
-    "class_index_table",
     "standard_switching_root",
 ]
 
@@ -455,14 +454,3 @@ def _min_norm(basis: list[RootVector]) -> int:
             return min(found)
         bound *= 2
 
-
-def class_index_table(classes) -> list[dict]:
-    """JSON-ready class index: representative and partner doubled coordinates."""
-    return [
-        {
-            "index": i,
-            "u_coords2": list(c.u.coords2),
-            "v_coords2": list(c.partner.coords2),
-        }
-        for i, c in enumerate(classes)
-    ]

@@ -7,8 +7,9 @@ under the generators stored at this level and deeper.  Composition acts left:
 (p * q)(x) = p(q(x)).
 
 Subset-orbit counting uses the Cauchy-Frobenius (Burnside) lemma with one
-generating-function term per group element, enumerated by depth-first
-traversal of the transversal chain; subset transversals use a lexicographic
+generating-function term per cycle type, counted by depth-first traversal of
+the transversal chain below one coset per orbit of the first base point's
+stabilizer on the first basic orbit; subset transversals use a lexicographic
 scan whose first hit in each orbit is provably the orbit's least member.
 """
 from __future__ import annotations
@@ -265,24 +266,44 @@ class PermGroup:
         return Permutation(p)
 
     def cycle_type_counts(self) -> Counter:
-        """Multiset of cycle types over all group elements (DFS over cosets)."""
+        """Multiset of cycle types over all group elements.
+
+        Let H be the stabilizer of the first base point b.  Conjugation by
+        h in H maps the coset {g : g(b) = x} onto {g : g(b) = h(x)} and keeps
+        cycle types, so one coset per H-orbit on the first basic orbit is
+        walked (DFS over the deeper transversals), weighted by the orbit size.
+        """
+        if not self._levels:
+            return Counter({_cycle_type(tuple(range(self.degree))): 1})
         counts: Counter = Counter()
+        first = self._levels[0].transversal
         levels = [
-            [lvl.transversal[x] for x in sorted(lvl.transversal)] for lvl in self._levels
+            [lvl.transversal[x] for x in sorted(lvl.transversal)] for lvl in self._levels[1:]
         ]
 
-        def walk(i: int, p: tuple[int, ...]) -> None:
+        def walk(i: int, p: tuple[int, ...], weight: int) -> None:
             if i == len(levels):
-                counts[_cycle_type(p)] += 1
+                counts[_cycle_type(p)] += weight
                 return
             for u in levels[i]:
-                walk(i + 1, _compose(p, u))
+                walk(i + 1, _compose(p, u), weight)
 
-        identity = tuple(range(self.degree))
-        if not levels:
-            counts[_cycle_type(identity)] += 1
-            return counts
-        walk(0, identity)
+        h_gens = self._strong_gens_at(1)
+        seen: set[int] = set()
+        for x in sorted(first):
+            if x in seen:
+                continue
+            orbit = {x}
+            queue = [x]
+            while queue:
+                y = queue.pop()
+                for s in h_gens:
+                    z = s[y]
+                    if z not in orbit:
+                        orbit.add(z)
+                        queue.append(z)
+            seen |= orbit
+            walk(0, first[x], len(orbit))
         return counts
 
     def stabilizer_chain_orders(self) -> tuple[int, ...]:
@@ -396,7 +417,12 @@ def burnside_subset_counts(G: PermGroup, max_order: int = 10_000_000) -> SubsetC
         )
     m = G.degree
     totals = [0] * (m + 1)
-    for ctype, mult in G.cycle_type_counts().items():
+    ctypes = G.cycle_type_counts()
+    if sum(ctypes.values()) != order:
+        raise RuntimeError(
+            f"cycle-type counts sum to {sum(ctypes.values())}, not the group order {order}"
+        )
+    for ctype, mult in ctypes.items():
         poly = [1]
         for length in ctype:
             new = poly + [0] * length
@@ -408,7 +434,8 @@ def burnside_subset_counts(G: PermGroup, max_order: int = 10_000_000) -> SubsetC
     counts = []
     for k in range(m + 1):
         q, rem = divmod(totals[k], order)
-        assert rem == 0, "Burnside sum must be divisible by the group order"
+        if rem:
+            raise RuntimeError(f"Burnside sum for n = {k} is not divisible by the group order")
         counts.append(q)
     return SubsetCountTable(tuple(counts))
 

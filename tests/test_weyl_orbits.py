@@ -1,12 +1,14 @@
 """Permutation groups, Weyl actions, Burnside counts, and orbit transversals."""
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from sympy.combinatorics import Permutation as SymPerm
 from sympy.combinatorics import PermutationGroup as SymGroup
 
+from seidel_forge.enumeration import e8_context
 from seidel_forge.root_lattices import (
     LatticeSpec,
     pair_classes,
@@ -17,6 +19,8 @@ from seidel_forge.weyl_orbits import (
     PermGroup,
     Permutation,
     SubsetCountTable,
+    _compose,
+    _cycle_type,
     burnside_subset_counts,
     induced_action_on_classes,
     stabilizer_of_root,
@@ -26,6 +30,23 @@ from seidel_forge.weyl_orbits import (
 )
 
 E8 = LatticeSpec("E", 8)
+
+
+def full_walk_cycle_type_counts(G: PermGroup) -> Counter:
+    """Brute-force oracle: the cycle type of every element of G, one by one,
+    by depth-first traversal of the whole transversal chain."""
+    counts: Counter = Counter()
+    levels = [[lvl.transversal[x] for x in sorted(lvl.transversal)] for lvl in G._levels]
+
+    def walk(i: int, p: tuple[int, ...]) -> None:
+        if i == len(levels):
+            counts[_cycle_type(p)] += 1
+            return
+        for u in levels[i]:
+            walk(i + 1, _compose(p, u))
+
+    walk(0, tuple(range(G.degree)))
+    return counts
 
 
 class TestPermutation:
@@ -145,6 +166,38 @@ class TestPermGroup:
         counts = G.cycle_type_counts()
         assert counts == {(1, 1, 1): 1, (1, 2): 3, (3,): 2}
 
+    @pytest.mark.parametrize(
+        "G",
+        [
+            weyl_group_on_roots(LatticeSpec("A", 3)),
+            weyl_group_on_roots(LatticeSpec("D", 4)),
+            weyl_group_on_roots(LatticeSpec("A", 5)),
+            # S_5 on 0..4 with the fixed point 5 as first base point
+            PermGroup(6, [(1, 2, 3, 4, 0, 5), (1, 0, 2, 3, 4, 5)], base_prefix=(5,)),
+            # intransitive S_3 x C_4 on 0..2 and 3..6: the stabilizer of 0 has
+            # orbits {0} and {1, 2} on the first basic orbit
+            PermGroup(7, [(1, 0, 2, 3, 4, 5, 6), (1, 2, 0, 3, 4, 5, 6), (0, 1, 2, 4, 5, 6, 3)]),
+            # C_4 x C_3 with base (3, 0): the stabilizer of 3 fixes 3..6, so
+            # each of the four cosets is its own orbit
+            PermGroup(7, [(0, 1, 2, 4, 5, 6, 3), (1, 2, 0, 3, 4, 5, 6)], base_prefix=(3, 0)),
+            PermGroup(3, []),
+        ],
+        ids=["W(A3)", "W(D4)", "W(A5)", "fixed-first-point", "intransitive", "prefix-C4", "trivial"],
+    )
+    def test_cycle_type_counts_match_full_walk(self, G):
+        counts = G.cycle_type_counts()
+        assert counts == full_walk_cycle_type_counts(G)
+        assert sum(counts.values()) == G.order()
+
+    @settings(max_examples=100, deadline=None)
+    @given(perm_groups(), st.integers(0, 6))
+    def test_cycle_type_counts_match_full_walk_random(self, dg, first):
+        degree, gens = dg
+        for G in (PermGroup(degree, gens), PermGroup(degree, gens, base_prefix=(first % degree,))):
+            counts = G.cycle_type_counts()
+            assert counts == full_walk_cycle_type_counts(G)
+            assert sum(counts.values()) == G.order()
+
 
 class TestWeylGroups:
     @pytest.mark.parametrize(
@@ -226,6 +279,25 @@ class TestBurnside:
     def test_cyclic_group(self):
         G = PermGroup(4, [(1, 2, 3, 0)])
         assert burnside_subset_counts(G).counts == (1, 1, 2, 1, 1)
+
+    def test_e8_image_cycle_types(self):
+        counts = e8_context().image.cycle_type_counts()
+        assert len(counts) == 25
+        assert sum(counts.values()) == 1451520
+        assert counts[(1,) * 28] == 1
+
+    def test_cycle_type_sum_must_equal_order(self, monkeypatch):
+        G = PermGroup(3, [])
+        monkeypatch.setattr(G, "cycle_type_counts", lambda: Counter({(1, 1, 1): 2}))
+        with pytest.raises(RuntimeError, match="group order"):
+            burnside_subset_counts(G)
+
+    def test_burnside_sum_must_be_divisible(self, monkeypatch):
+        G = PermGroup(3, [(1, 0, 2)])
+        bogus = Counter({(1, 1, 1): 1, (3,): 1})
+        monkeypatch.setattr(G, "cycle_type_counts", lambda: bogus)
+        with pytest.raises(RuntimeError, match="divisible"):
+            burnside_subset_counts(G)
 
     def test_order_cap(self):
         with pytest.raises(ValueError):
