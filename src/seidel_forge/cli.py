@@ -1,7 +1,8 @@
 """Command-line front end: count tables, verification ledger, and exports.
 
 Exit codes: 0 success, 1 verification or IO failure, 2 usage error,
-3 infeasible request.
+3 infeasible request.  Options are checked before any computation starts, so
+an out-of-range --n, --n-max or --samples exits 2 at once.
 """
 from __future__ import annotations
 
@@ -65,8 +66,6 @@ class RunConfig:
     n_max: int | None = None
     output_path: str | None = None
     fmt: str = "text-table"
-    threads: int = 1
-    verbosity: int = 0
     check_paper: bool = False
     no_meta: bool = False
     only: str | None = None
@@ -377,8 +376,6 @@ def _check_cor_sn(cfg: RunConfig) -> tuple[bool, str]:
 
 def _check_oracle(cfg: RunConfig) -> tuple[bool, str]:
     n_max = 5 if cfg.n_max is None else cfg.n_max
-    if not 0 <= n_max <= 7:
-        return False, "oracle depth must be in 0..7"
     table = s_table(n_max)
     om = omega_table().omega
     problems = []
@@ -411,6 +408,12 @@ CHECK_NAMES = tuple(name for name, _ in _CHECKS)
 
 
 def cmd_verify(cfg: RunConfig) -> int:
+    if cfg.n_max is not None and not 0 <= cfg.n_max <= 7:
+        print("--n-max must be in 0..7", file=sys.stderr)
+        return 2
+    if cfg.samples < 0:
+        print("--samples must be >= 0", file=sys.stderr)
+        return 2
     selected = [(n, f) for n, f in _CHECKS if cfg.only in (None, n)]
     all_ok = True
     width = max(len(n) for n, _ in selected)
@@ -464,18 +467,10 @@ def cmd_reps(cfg: RunConfig) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="worker cap, >= 1 (default: SEIDEL_FORGE_THREADS or 1); results "
-        "are deterministic and identical for every thread count",
-    )
-    common.add_argument(
         "--no-meta",
         action="store_true",
         help="omit the generated-at timestamp from the output",
     )
-    common.add_argument("-v", "--verbose", action="count", default=0)
 
     parser = argparse.ArgumentParser(
         prog="seidel-forge",
@@ -508,10 +503,9 @@ def _build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="run the named consistency checks and print a pass/fail ledger",
     )
-    p.add_argument("--all", action="store_true", help="run every check (default)")
     p.add_argument("--only", choices=CHECK_NAMES, default=None, help="run a single named check")
     p.add_argument("--n-max", dest="n_max", type=int, default=None, help="brute-force depth for the oracle check (default 5, max 7)")
-    p.add_argument("--samples", type=int, default=500, help="random graphs for the thm:Cao check")
+    p.add_argument("--samples", type=int, default=500, help="random graphs for the thm:Cao check, >= 0")
     p.add_argument("--seed", type=int, default=0, help="random seed for the thm:Cao check")
 
     p = sub.add_parser(
@@ -539,25 +533,12 @@ def main(argv=None) -> int:
         ns = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    threads = ns.threads
-    if threads is None:
-        raw = os.environ.get("SEIDEL_FORGE_THREADS", "1")
-        try:
-            threads = int(raw)
-        except ValueError:
-            print(f"invalid SEIDEL_FORGE_THREADS value: {raw!r}", file=sys.stderr)
-            return 2
-    if threads < 1:
-        print("--threads must be >= 1", file=sys.stderr)
-        return 2
     cfg = RunConfig(
         command=ns.command,
         n=getattr(ns, "n", None),
         n_max=getattr(ns, "n_max", None),
         output_path=getattr(ns, "output_path", None),
         fmt=getattr(ns, "fmt", "text-table"),
-        threads=threads,
-        verbosity=ns.verbose,
         check_paper=getattr(ns, "check_paper", False),
         no_meta=ns.no_meta,
         only=getattr(ns, "only", None),

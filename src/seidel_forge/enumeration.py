@@ -67,7 +67,6 @@ __all__ = [
     "omega_table_json",
     "s_table_json",
     "reps_records",
-    "oracle_counts_json",
 ]
 
 SCHEMA_VERSION = 1
@@ -143,7 +142,7 @@ class OmegaTable:
 def omega_table() -> OmegaTable:
     """c(n) by Burnside on the 28-point image group; omega differs only at
     n = 6, where exactly two subset orbits share one switching class."""
-    c = burnside_subset_counts(e8_context().image).counts
+    c = burnside_subset_counts(e8_context().image)
     omega = list(c)
     omega[6] -= 1
     return OmegaTable(tuple(omega), tuple(c))
@@ -439,15 +438,3 @@ def reps_records(n: int) -> list[dict]:
             }
         )
     return out
-
-
-def oracle_counts_json(n_max: int = 7) -> dict:
-    """Brute-force (s, s_e, omega) rows for n = 0..n_max."""
-    rows = [brute_force_counts(n) for n in range(n_max + 1)]
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "n": list(range(n_max + 1)),
-        "s": [r[0] for r in rows],
-        "s_e": [r[1] for r in rows],
-        "omega": [r[2] for r in rows],
-    }

@@ -1,10 +1,9 @@
 """Exact integer/rational linear algebra.
 
-Everything here is exact: ranks by fraction-free Bareiss elimination,
-characteristic polynomials by Faddeev-LeVerrier, and positive
-semidefiniteness by rational LDL^T with symmetric pivoting.  No floating
-point anywhere; Python's arbitrary-precision integers absorb the pivot
-growth (Bareiss pivots exceed 64 bits around order 15).
+Everything here is exact: ranks by fraction-free Bareiss elimination and
+positive semidefiniteness by rational LDL^T with symmetric pivoting.  No
+floating point anywhere; Python's arbitrary-precision integers absorb the
+pivot growth (Bareiss pivots exceed 64 bits around order 15).
 """
 from __future__ import annotations
 
@@ -13,9 +12,7 @@ from fractions import Fraction
 
 __all__ = [
     "IntMatrix",
-    "IntPolynomial",
     "rank",
-    "char_poly",
     "max_eig_le",
     "is_psd",
 ]
@@ -48,17 +45,6 @@ class IntMatrix:
     def identity(n: int) -> "IntMatrix":
         return IntMatrix(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
-    @staticmethod
-    def zero(n: int) -> "IntMatrix":
-        return IntMatrix(tuple((0,) * n for _ in range(n)))
-
-    def is_symmetric(self) -> bool:
-        return all(
-            self.rows[i][j] == self.rows[j][i]
-            for i in range(self.n)
-            for j in range(i + 1, self.n)
-        )
-
     def add(self, other: "IntMatrix") -> "IntMatrix":
         return IntMatrix.from_rows(
             [a + b for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)
@@ -71,64 +57,6 @@ class IntMatrix:
 
     def scale(self, c: int) -> "IntMatrix":
         return IntMatrix.from_rows([c * x for x in row] for row in self.rows)
-
-    def matmul(self, other: "IntMatrix") -> "IntMatrix":
-        n = self.n
-        cols = list(zip(*other.rows))
-        return IntMatrix(
-            tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-                for row in self.rows
-            )
-        )
-
-    def trace(self) -> int:
-        return sum(self.rows[i][i] for i in range(self.n))
-
-
-@dataclass(frozen=True)
-class IntPolynomial:
-    """Integer polynomial; coeffs[k] is the coefficient of x**k."""
-
-    coeffs: tuple[int, ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def __call__(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def root_multiplicity(self, x: int) -> int:
-        """Multiplicity of x as a root, by repeated exact deflation.
-
-        Requires a nonzero polynomial (characteristic polynomials are monic).
-        """
-        if self.is_monic() is False and all(c == 0 for c in self.coeffs):
-            raise ValueError("zero polynomial has no root multiplicities")
-        coeffs = list(self.coeffs)
-        mult = 0
-        while len(coeffs) > 1:
-            value = 0
-            for c in reversed(coeffs):
-                value = value * x + c
-            if value != 0:
-                break
-            # synthetic division by (t - x)
-            out = [0] * (len(coeffs) - 1)
-            carry = 0
-            for k in range(len(coeffs) - 1, 0, -1):
-                carry = coeffs[k] + x * carry
-                out[k - 1] = carry
-            coeffs = out
-            mult += 1
-        return mult
 
 
 def rank(M: IntMatrix) -> int:
@@ -151,24 +79,6 @@ def rank(M: IntMatrix) -> int:
         if r == n:
             break
     return r
-
-
-def char_poly(M: IntMatrix) -> IntPolynomial:
-    """det(xI - M) by the Faddeev-LeVerrier recurrence (exact divisions)."""
-    n = M.n
-    if n == 0:
-        return IntPolynomial((1,))
-    coeffs_desc = [1]  # c_0 = 1, then c_1, ..., c_n
-    Mk = IntMatrix.identity(n)
-    for k in range(1, n + 1):
-        AM = M.matmul(Mk)
-        t = AM.trace()
-        assert t % k == 0, "Faddeev-LeVerrier trace division must be exact"
-        ck = -t // k
-        coeffs_desc.append(ck)
-        if k < n:
-            Mk = AM.add(IntMatrix.identity(n).scale(ck))
-    return IntPolynomial(tuple(reversed(coeffs_desc)))
 
 
 def is_psd(M: IntMatrix) -> bool:

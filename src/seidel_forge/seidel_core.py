@@ -13,6 +13,7 @@ from itertools import combinations
 
 from .canon import canonical_form_bits, pack_bits
 from .exact_linalg import IntMatrix
+from .weyl_orbits import _chunk_tables
 
 __all__ = [
     "Graph",
@@ -22,7 +23,6 @@ __all__ = [
     "switch",
     "cone",
     "canonical_key",
-    "all_switching_classes",
     "switching_class_representatives",
 ]
 
@@ -265,7 +265,6 @@ def _transposition_tables(n: int) -> list[tuple[int, list[int], list[int]]]:
     Returns (split, low_table, high_table) per transposition (v, v+1).
     """
     m = n * (n - 1) // 2
-    split = m // 2
     tables = []
     for v in range(n - 1):
         perm = list(range(m))
@@ -277,17 +276,7 @@ def _transposition_tables(n: int) -> list[tuple[int, list[int], list[int]]]:
                 if a > b:
                     a, b = b, a
                 perm[pair_index(i, j, n)] = pair_index(a, b, n)
-        low_bits = [1 << perm[k] for k in range(split)]
-        high_bits = [1 << perm[k + split] for k in range(m - split)]
-        low = [0] * (1 << split)
-        for val in range(1, 1 << split):
-            lsb = val & (-val)
-            low[val] = low[val ^ lsb] | low_bits[lsb.bit_length() - 1]
-        high = [0] * (1 << (m - split))
-        for val in range(1, 1 << (m - split)):
-            lsb = val & (-val)
-            high[val] = high[val ^ lsb] | high_bits[lsb.bit_length() - 1]
-        tables.append((split, low, high))
+        tables.append(_chunk_tables(perm, m))
     return tables
 
 
@@ -348,18 +337,3 @@ def graph_from_packed(n: int, packed: int) -> Graph:
             adj[i] |= 1 << j
             adj[j] |= 1 << i
     return Graph(n, tuple(adj))
-
-
-def all_switching_classes(n: int, *, allow_large: bool = False) -> list[SwitchingClassKey]:
-    """Sorted distinct switching-class keys over all graphs on n vertices.
-
-    Guarded at n <= 7 (2^21 graphs); allow_large=True admits n = 8 at a cost
-    of 2^28 graphs.
-    """
-    limit = 8 if allow_large else 7
-    if n > limit:
-        raise ValueError(
-            f"n = {n} exceeds the enumeration guard (n <= 7, or n = 8 with allow_large)"
-        )
-    keys = {canonical_key(graph_from_packed(n, g)) for g in switching_class_representatives(n)}
-    return sorted(keys)

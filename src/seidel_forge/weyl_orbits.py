@@ -14,9 +14,7 @@ scan whose first hit in each orbit is provably the orbit's least member.
 """
 from __future__ import annotations
 
-import json
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -24,18 +22,16 @@ from math import comb
 from .root_lattices import LatticeSpec, reflect, roots
 
 __all__ = [
-    "Permutation",
     "PermGroup",
-    "SubsetCountTable",
     "weyl_group_on_roots",
     "stabilizer_of_root",
     "induced_action_on_classes",
     "burnside_subset_counts",
     "subset_orbit_transversal",
-    "transversal_jsonl_lines",
 ]
 
 _SCAN_CAP = 3_300_000  # largest binomial(m, n) the transversal scan will walk
+_MAX_ORDER = 10_000_000  # largest group order burnside_subset_counts accepts
 
 
 def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
@@ -67,41 +63,6 @@ def _cycle_type(p: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """Permutation of {0..degree-1}; images[x] is the image of x."""
-
-    images: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if sorted(self.images) != list(range(len(self.images))):
-            raise ValueError("images must be a bijection on 0..degree-1")
-
-    @property
-    def degree(self) -> int:
-        return len(self.images)
-
-    @staticmethod
-    def identity(degree: int) -> "Permutation":
-        return Permutation(tuple(range(degree)))
-
-    def __call__(self, x: int) -> int:
-        return self.images[x]
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self after other."""
-        return Permutation(_compose(self.images, other.images))
-
-    def inverse(self) -> "Permutation":
-        return Permutation(_inverse(self.images))
-
-    def is_identity(self) -> bool:
-        return all(i == x for i, x in enumerate(self.images))
-
-    def cycle_type(self) -> tuple[int, ...]:
-        return _cycle_type(self.images)
-
-
 class _Level:
     __slots__ = ("point", "gens", "transversal", "inverses")
 
@@ -126,7 +87,7 @@ class PermGroup:
         seen = set()
         identity = tuple(range(degree))
         for g in generators:
-            t = tuple(g.images if isinstance(g, Permutation) else g)
+            t = tuple(g)
             if len(t) != degree or sorted(t) != list(range(degree)):
                 raise ValueError("generator is not a permutation of the degree")
             if t != identity and t not in seen:
@@ -222,8 +183,8 @@ class PermGroup:
     # -- queries --------------------------------------------------------
 
     @property
-    def generators(self) -> tuple[Permutation, ...]:
-        return tuple(Permutation(g) for g in self._raw_gens)
+    def generators(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(self._raw_gens)
 
     @property
     def base(self) -> tuple[int, ...]:
@@ -234,36 +195,6 @@ class PermGroup:
         for lvl in self._levels:
             n *= len(lvl.transversal)
         return n
-
-    def contains(self, p) -> bool:
-        t = tuple(p.images if isinstance(p, Permutation) else p)
-        if len(t) != self.degree:
-            return False
-        residue, _ = self._sift(t, 0)
-        return residue == tuple(range(self.degree))
-
-    def orbit(self, point: int) -> tuple[int, ...]:
-        seen = {point}
-        queue = [point]
-        while queue:
-            x = queue.pop()
-            for g in self._raw_gens:
-                y = g[x]
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        return tuple(sorted(seen))
-
-    def is_transitive(self) -> bool:
-        return self.degree > 0 and len(self.orbit(0)) == self.degree
-
-    def random_element(self, rng) -> Permutation:
-        """Uniformly random element (product of random coset representatives)."""
-        p = tuple(range(self.degree))
-        for lvl in self._levels:
-            pts = sorted(lvl.transversal)
-            p = _compose(p, lvl.transversal[pts[rng.randrange(len(pts))]])
-        return Permutation(p)
 
     def cycle_type_counts(self) -> Counter:
         """Multiset of cycle types over all group elements.
@@ -306,15 +237,6 @@ class PermGroup:
             walk(0, first[x], len(orbit))
         return counts
 
-    def stabilizer_chain_orders(self) -> tuple[int, ...]:
-        orders = []
-        n = self.order()
-        for lvl in self._levels:
-            orders.append(n)
-            n //= len(lvl.transversal)
-        orders.append(1)
-        return tuple(orders)
-
     @classmethod
     def _from_chain(cls, degree, levels, labels) -> "PermGroup":
         g = cls.__new__(cls)
@@ -323,23 +245,6 @@ class PermGroup:
         g._levels = levels
         g._raw_gens = [gen for lvl in levels for gen in lvl.gens]
         return g
-
-
-@dataclass(frozen=True)
-class SubsetCountTable:
-    """counts[n] = number of orbits of n-subsets of the permuted points."""
-
-    counts: tuple[int, ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.counts) - 1
-
-    def __getitem__(self, n: int) -> int:
-        return self.counts[n]
-
-    def to_json(self) -> list[int]:
-        return list(self.counts)
 
 
 @lru_cache(maxsize=None)
@@ -365,7 +270,7 @@ def stabilizer_of_root(W: PermGroup, r_index: int) -> PermGroup:
     if not (W.base and W.base[0] == r_index):
         W = PermGroup(
             W.degree,
-            [g.images for g in W.generators],
+            W.generators,
             base_prefix=(r_index,),
             labels=W.labels,
         )
@@ -391,7 +296,7 @@ def induced_action_on_classes(Wr: PermGroup, classes) -> PermGroup:
     for g in Wr.generators:
         img = []
         for pt in member_points:
-            target = g.images[pt]
+            target = g[pt]
             if target not in class_of_point:
                 raise RuntimeError(
                     "stabilizer generator does not preserve the pair-class set"
@@ -404,16 +309,17 @@ def induced_action_on_classes(Wr: PermGroup, classes) -> PermGroup:
     return PermGroup(len(classes), gens)
 
 
-def burnside_subset_counts(G: PermGroup, max_order: int = 10_000_000) -> SubsetCountTable:
-    """Orbit counts of n-subsets for every n, by the Cauchy-Frobenius lemma.
+def burnside_subset_counts(G: PermGroup) -> tuple[int, ...]:
+    """Orbit counts c(n) of n-subsets for n = 0..degree, by the
+    Cauchy-Frobenius lemma.
 
     c(n) = (1/|G|) sum_g [x^n] prod_{cycles of g with length l} (1 + x^l);
     elements are enumerated once, aggregated by cycle type.
     """
     order = G.order()
-    if order > max_order:
+    if order > _MAX_ORDER:
         raise ValueError(
-            f"group order {order} exceeds the element-enumeration cap {max_order}"
+            f"group order {order} exceeds the element-enumeration cap {_MAX_ORDER}"
         )
     m = G.degree
     totals = [0] * (m + 1)
@@ -437,7 +343,7 @@ def burnside_subset_counts(G: PermGroup, max_order: int = 10_000_000) -> SubsetC
         if rem:
             raise RuntimeError(f"Burnside sum for n = {k} is not divisible by the group order")
         counts.append(q)
-    return SubsetCountTable(tuple(counts))
+    return tuple(counts)
 
 
 def _reduced_generators(G: PermGroup) -> list[tuple[int, ...]]:
@@ -448,14 +354,16 @@ def _reduced_generators(G: PermGroup) -> list[tuple[int, ...]]:
     for g in G.generators:
         if current == full:
             break
-        trial = PermGroup(G.degree, selected + [g.images])
+        trial = PermGroup(G.degree, selected + [g])
         if trial.order() > current:
-            selected.append(g.images)
+            selected.append(g)
             current = trial.order()
     return selected
 
 
-def _chunk_tables(gen: tuple[int, ...], m: int) -> tuple[int, list[int], list[int]]:
+def _chunk_tables(gen, m: int) -> tuple[int, list[int], list[int]]:
+    """Tables that apply the bit permutation k -> gen[k] to an m-bit mask:
+    the image is low[mask & (1 << split) - 1] | high[mask >> split]."""
     split = m // 2
     low_bits = [1 << gen[k] for k in range(split)]
     high_bits = [1 << gen[k + split] for k in range(m - split)]
@@ -509,11 +417,3 @@ def subset_orbit_transversal(G: PermGroup, n: int) -> list[tuple[int, ...]]:
                     visited[nxt >> 3] |= 1 << (nxt & 7)
                     stack.append(nxt)
     return out
-
-
-def transversal_jsonl_lines(n: int, subsets) -> list[str]:
-    """JSON lines {n, subset} for an orbit transversal."""
-    return [
-        json.dumps({"n": n, "subset": list(subset)}, separators=(", ", ": "))
-        for subset in subsets
-    ]

@@ -15,7 +15,6 @@ from seidel_forge.enumeration import (
     kn_witness,
     omega_table,
     omega_table_json,
-    oracle_counts_json,
     phi,
     phi_graph,
     reps_records,
@@ -27,6 +26,7 @@ from seidel_forge.enumeration import (
 from seidel_forge.exact_linalg import IntMatrix, max_eig_le, rank
 from seidel_forge.root_lattices import gram_to_graph
 from seidel_forge.seidel_core import Graph, canonical_key, seidel_of_graph, switch
+from seidel_forge.weyl_orbits import _compose
 
 
 def _rank_3i_minus_s(G):
@@ -69,13 +69,17 @@ class TestPhi:
     def test_orbit_invariance(self):
         # phi is constant on orbits of the induced 28-point action
         image = e8_context().image
+        gens = image.generators
         rng = random.Random(17)
         reps = class_transversal(6)
         checks = 0
         while checks < 1000:
             for subset in reps:
-                g = image.random_element(rng)
-                moved = tuple(sorted(g(x) for x in subset))
+                # a random word of up to 20 generators
+                g = tuple(range(28))
+                for _ in range(rng.randrange(21)):
+                    g = _compose(rng.choice(gens), g)
+                moved = tuple(sorted(g[x] for x in subset))
                 assert phi(moved) == phi(subset)
                 checks += 1
 
@@ -262,7 +266,3 @@ class TestExports:
     def test_json_schemas(self):
         assert omega_table_json(omega_table())["schema_version"] == 1
         assert s_table_json(s_table(3))["schema_version"] == 1
-        oracle = oracle_counts_json(3)
-        assert oracle["schema_version"] == 1
-        assert oracle["s"] == [1, 1, 1, 2]
-        assert oracle["omega"] == oracle["s"]

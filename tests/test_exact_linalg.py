@@ -7,8 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from seidel_forge.exact_linalg import (
     IntMatrix,
-    IntPolynomial,
-    char_poly,
     is_psd,
     max_eig_le,
     rank,
@@ -68,12 +66,8 @@ class TestIntMatrix:
         M = IntMatrix.from_rows([[1, 2], [3, 4]])
         assert M.n == 2 and M[0, 1] == 2
         assert M.add(IntMatrix.identity(2)).rows == ((2, 2), (3, 5))
-        assert M.sub(M) == IntMatrix.zero(2)
+        assert M.sub(M).rows == ((0, 0), (0, 0))
         assert M.scale(3).rows == ((3, 6), (9, 12))
-        assert M.matmul(M).rows == ((7, 10), (15, 22))
-        assert M.trace() == 5
-        assert not M.is_symmetric()
-        assert IntMatrix.from_rows([[0, 7], [7, 0]]).is_symmetric()
 
     def test_rejects_ragged_rows(self):
         with pytest.raises(ValueError):
@@ -91,63 +85,17 @@ class TestRank:
         # independently derived by fraction-free Gaussian elimination
         assert rank(_three_i_minus_s(Graph.complete(6))) == 6
         assert rank(_three_i_minus_s(Graph.complete_minus_matching(7, 5))) == 8
-        assert rank(IntMatrix.zero(4)) == 0
+        assert rank(IntMatrix.from_rows([[0] * 4] * 4)) == 0
         assert rank(IntMatrix.identity(7)) == 7
 
     def test_rank_one(self):
         M = IntMatrix.from_rows([[2, 4], [3, 6]])
         assert rank(M) == 1
 
-    @settings(max_examples=80, deadline=None)
-    @given(square_matrices())
+    @settings(max_examples=140, deadline=None)
+    @given(st.one_of(square_matrices(), symmetric_matrices()))
     def test_matches_sympy(self, M):
         assert rank(M) == _sympy_of(M).rank()
-
-
-class TestCharPoly:
-    def test_cycle_reference(self):
-        # x (x^2 - 5)^2, independently derived by cofactor expansion
-        p = char_poly(seidel_of_graph(Graph.cycle(5)))
-        assert p.coeffs == (0, 25, 0, -10, 0, 1)
-
-    def test_identity(self):
-        p = char_poly(IntMatrix.identity(3))
-        assert p.coeffs == (-1, 3, -3, 1)  # (x - 1)^3
-
-    @settings(max_examples=60, deadline=None)
-    @given(square_matrices(max_n=4))
-    def test_matches_sympy(self, M):
-        p = char_poly(M)
-        assert p.is_monic() and p.degree == M.n
-        expected = list(reversed(_sympy_of(M).charpoly().all_coeffs()))
-        assert list(p.coeffs) == expected
-
-    @settings(max_examples=40, deadline=None)
-    @given(square_matrices(max_n=4, lo=-3, hi=3))
-    def test_cayley_hamilton(self, M):
-        acc = IntMatrix.zero(M.n)
-        for c in reversed(char_poly(M).coeffs):
-            acc = acc.matmul(M).add(IntMatrix.identity(M.n).scale(c))
-        assert acc == IntMatrix.zero(M.n)
-
-
-class TestIntPolynomial:
-    def test_evaluation(self):
-        p = IntPolynomial((2, -3, 0, 1))  # x^3 - 3x + 2 = (x - 1)^2 (x + 2)
-        assert p(0) == 2 and p(1) == 0 and p(-2) == 0 and p(2) == 4
-        assert p.degree == 3 and p.is_monic()
-
-    def test_root_multiplicity(self):
-        p = IntPolynomial((2, -3, 0, 1))
-        assert p.root_multiplicity(1) == 2
-        assert p.root_multiplicity(-2) == 1
-        assert p.root_multiplicity(0) == 0
-
-    @settings(max_examples=60, deadline=None)
-    @given(symmetric_matrices(max_n=5))
-    def test_rank_nullity_via_char_poly(self, M):
-        # for symmetric M the multiplicity of eigenvalue 0 is the nullity
-        assert rank(M) + char_poly(M).root_multiplicity(0) == M.n
 
 
 class TestPsd:
