@@ -98,6 +98,21 @@ class TestRank:
         assert rank(M) == _sympy_of(M).rank()
 
 
+class TestIntPolynomial:
+    """rank against the integer characteristic polynomial, taken from sympy."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(symmetric_matrices(max_n=5))
+    def test_rank_nullity_via_char_poly(self, M):
+        # for symmetric M the multiplicity of eigenvalue 0 is the nullity
+        coeffs = _sympy_of(M).charpoly().all_coeffs()  # leading first
+        zero_multiplicity = 0
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+            zero_multiplicity += 1
+        assert rank(M) + zero_multiplicity == M.n
+
+
 class TestPsd:
     def test_reference_values(self):
         cone_gram = adjacency_matrix(cone(Graph.cycle(5))).add(
