@@ -7,6 +7,14 @@ lexicographically least packed upper triangle over all leaves of the
 (isomorphism-invariant) search tree, so two graphs are isomorphic iff their
 canonical forms coincide.
 
+Orbit pruning keeps one union-find per search node.  Before it tries each
+vertex after the first, the node absorbs only the automorphisms found since
+its last test, and of those only the ones that fix the node's
+individualized vertices (a bitmask test against each automorphism's stored
+fixed points).  Since a union-find partition does not depend on the order of
+its unions, every test sees the orbits of all automorphisms known so far that
+fix the prefix.
+
 Adjacency is handled as per-vertex bitmasks throughout.
 """
 from __future__ import annotations
@@ -74,33 +82,20 @@ class _Canonizer:
         self.best: int | None = None
         self.best_order: list[int] | None = None
         self.autos: list[tuple[int, ...]] = []
+        # fixed[i] is the bitmask of the points that autos[i] fixes
+        self.fixed: list[int] = []
 
     def run(self) -> tuple[int, list[int]]:
         if self.n == 0:
             return 0, []
         cells = _refine(self.adj, [(1 << self.n) - 1])
-        self._search(cells, [])
+        self._search(cells, 0)
         assert self.best is not None and self.best_order is not None
         return self.best, self.best_order
 
-    def _orbit_find(self, parent: list[int], v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    def _orbits_fixing(self, prefix: list[int]) -> list[int]:
-        """Union-find orbits of the discovered automorphisms fixing prefix."""
-        parent = list(range(self.n))
-        for g in self.autos:
-            if all(g[p] == p for p in prefix):
-                for v in range(self.n):
-                    a, b = self._orbit_find(parent, v), self._orbit_find(parent, g[v])
-                    if a != b:
-                        parent[a] = b
-        return parent
-
-    def _search(self, cells: list[int], prefix: list[int]) -> None:
+    def _search(self, cells: list[int], prefix: int) -> None:
+        """Search below the node whose individualized vertices are the bits
+        of prefix."""
         target = next((k for k, c in enumerate(cells) if c & (c - 1)), None)
         if target is None:
             order = [c.bit_length() - 1 for c in cells]
@@ -113,11 +108,19 @@ class _Canonizer:
                 # equal leaves witness an automorphism: send the vertex with
                 # label k in this leaf to the one with label k in the best leaf
                 g = [0] * self.n
+                fixed = 0
                 for k in range(self.n):
                     g[order[k]] = self.best_order[k]
+                    if order[k] == self.best_order[k]:
+                        fixed |= 1 << order[k]
                 self.autos.append(tuple(g))
+                self.fixed.append(fixed)
             return
         cell = cells[target]
+        # union-find orbits of the known automorphisms that fix prefix; autos
+        # before index absorbed are already in it
+        parent = list(range(self.n))
+        absorbed = 0
         tried: list[int] = []
         v = cell
         while v:
@@ -125,13 +128,28 @@ class _Canonizer:
             u = low.bit_length() - 1
             v ^= low
             if tried:
-                parent = self._orbits_fixing(prefix)
-                root = self._orbit_find(parent, u)
-                if any(self._orbit_find(parent, t) == root for t in tried):
+                for k in range(absorbed, len(self.autos)):
+                    if self.fixed[k] & prefix == prefix:
+                        g = self.autos[k]
+                        for w in range(self.n):
+                            if g[w] != w:
+                                a, b = _find(parent, w), _find(parent, g[w])
+                                if a != b:
+                                    parent[a] = b
+                absorbed = len(self.autos)
+                root = _find(parent, u)
+                if any(_find(parent, t) == root for t in tried):
                     continue
             tried.append(u)
             child = cells[:target] + [low, cell ^ low] + cells[target + 1 :]
-            self._search(_refine(self.adj, child), prefix + [u])
+            self._search(_refine(self.adj, child), prefix | low)
+
+
+def _find(parent: list[int], v: int) -> int:
+    while parent[v] != v:
+        parent[v] = parent[parent[v]]
+        v = parent[v]
+    return v
 
 
 def canonical_relabeling(adj: tuple[int, ...]) -> tuple[int, list[int]]:

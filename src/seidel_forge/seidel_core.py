@@ -185,8 +185,17 @@ class SwitchingClassKey:
 
     @staticmethod
     def from_hex(s: str) -> "SwitchingClassKey":
+        """Parse the hex form; ValueError unless it is a well-formed key."""
         raw = bytes.fromhex(s)
-        return SwitchingClassKey(raw[0], raw[1:])
+        if not raw or raw[0] > MAX_VERTICES:
+            raise ValueError(f"key must start with a vertex count in 0..{MAX_VERTICES}")
+        n, key = raw[0], raw[1:]
+        m = n * (n - 1) // 2
+        if len(key) != (m + 7) // 8:
+            raise ValueError(f"key on {n} vertices: expected {(m + 7) // 8} bytes, got {len(key)}")
+        if key and key[-1] & ((1 << (8 * len(key) - m)) - 1):
+            raise ValueError("padding bits after the last pair must be zero")
+        return SwitchingClassKey(n, key)
 
     def __lt__(self, other: "SwitchingClassKey") -> bool:
         return self.to_bytes() < other.to_bytes()

@@ -254,12 +254,12 @@ def weyl_group_on_roots(spec: LatticeSpec, base_prefix: tuple[int, ...] = ()) ->
     rts = roots(spec)
     index = {v.coords2: i for i, v in enumerate(rts)}
     gens = []
-    seen = set()
+    done = set()
     for v in rts:
-        img = tuple(index[reflect(v, x).coords2] for x in rts)
-        if img not in seen:
-            seen.add(img)
-            gens.append(img)
+        if (-v).coords2 in done:  # s_v = s_{-v}
+            continue
+        done.add(v.coords2)
+        gens.append(tuple(index[reflect(v, x).coords2] for x in rts))
     return PermGroup(len(rts), gens, base_prefix=base_prefix, labels=rts)
 
 

@@ -1,8 +1,18 @@
 """Canonical labeling: isomorphism invariance and discrimination."""
+import random
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from seidel_forge.canon import canonical_form_bits, canonical_relabeling, pack_bits
-from seidel_forge.seidel_core import Graph
+from seidel_forge.canon import (
+    _Canonizer,
+    _packed_form,
+    _refine,
+    canonical_form_bits,
+    canonical_relabeling,
+    pack_bits,
+)
+from seidel_forge.seidel_core import Graph, switch
 
 
 @st.composite
@@ -73,3 +83,128 @@ class TestCanonicalForm:
             forms = [canonical_form_bits(G.adj) for G in graphs]
             # count distinct forms: 1, 1, 2, 4, 11 unlabeled graphs on 0..4 vertices
             assert len(set(forms)) == {0: 1, 1: 1, 2: 2, 3: 4, 4: 11}[n]
+
+
+class ReferenceCanonizer:
+    """The search with orbit pruning that rebuilds the union-find of the
+    automorphisms fixing the prefix for every vertex it tries; the oracle
+    for _Canonizer, which must visit the same tree."""
+
+    def __init__(self, adj):
+        self.adj = adj
+        self.n = len(adj)
+        self.best = None
+        self.best_order = None
+        self.autos = []
+
+    def run(self):
+        if self.n == 0:
+            return 0, []
+        self._search(_refine(self.adj, [(1 << self.n) - 1]), [])
+        return self.best, self.best_order
+
+    @staticmethod
+    def _find(parent, v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    def _orbits_fixing(self, prefix):
+        parent = list(range(self.n))
+        for g in self.autos:
+            if all(g[p] == p for p in prefix):
+                for v in range(self.n):
+                    a, b = self._find(parent, v), self._find(parent, g[v])
+                    if a != b:
+                        parent[a] = b
+        return parent
+
+    def _search(self, cells, prefix):
+        target = next((k for k, c in enumerate(cells) if c & (c - 1)), None)
+        if target is None:
+            order = [c.bit_length() - 1 for c in cells]
+            form = _packed_form(self.adj, order)
+            if self.best is None or form < self.best:
+                self.best, self.best_order = form, order
+            elif form == self.best:
+                g = [0] * self.n
+                for k in range(self.n):
+                    g[order[k]] = self.best_order[k]
+                self.autos.append(tuple(g))
+            return
+        cell = cells[target]
+        tried = []
+        v = cell
+        while v:
+            low = v & (-v)
+            u = low.bit_length() - 1
+            v ^= low
+            if tried:
+                parent = self._orbits_fixing(prefix)
+                root = self._find(parent, u)
+                if any(self._find(parent, t) == root for t in tried):
+                    continue
+            tried.append(u)
+            child = cells[:target] + [low, cell ^ low] + cells[target + 1 :]
+            self._search(_refine(self.adj, child), prefix + [u])
+
+
+def assert_matches_reference(adj):
+    ref = ReferenceCanonizer(adj)
+    expected = ref.run()
+    assert canonical_relabeling(adj) == expected
+    canonizer = _Canonizer(adj)
+    canonizer.run()
+    assert canonizer.autos == ref.autos
+
+
+def _disjoint_triangles(k):
+    return Graph.from_edges(
+        3 * k, [(3 * i + a, 3 * i + b) for i in range(k) for a, b in ((0, 1), (1, 2), (0, 2))]
+    )
+
+
+def _petersen():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return Graph.from_edges(10, outer + spokes + inner)
+
+
+_SYMMETRIC = {
+    **{f"empty{n}": Graph.empty(n) for n in range(8, 15)},
+    **{f"K{n}": Graph.complete(n) for n in range(8, 15)},
+    **{
+        f"D{n - t},{t}": Graph.complete_minus_matching(n - t, t)
+        for n in range(8, 15)
+        for t in (1, n // 4, n // 2)
+    },
+    **{f"C{n}": Graph.cycle(n) for n in range(3, 15)},
+    **{f"{k}K3": _disjoint_triangles(k) for k in range(1, 5)},
+    "petersen": _petersen(),
+}
+
+
+class TestAgainstReference:
+    """(bits, order) and the automorphisms found equal the reference's."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs_with_permutation(max_n=10))
+    def test_random_graphs(self, gp):
+        G, perm = gp
+        assert_matches_reference(G.adj)
+        assert_matches_reference(G.relabel(perm).adj)
+
+    @pytest.mark.parametrize("name", _SYMMETRIC)
+    def test_symmetric_graphs(self, name):
+        assert_matches_reference(_SYMMETRIC[name].adj)
+
+    def test_isolated_vertex_graphs_of_a_switched_k12(self):
+        # every graph that canonical_key canonizes for a switched, relabelled K_12
+        rng = random.Random(12)
+        perm = list(range(12))
+        rng.shuffle(perm)
+        G = switch(Graph.complete(12), {v for v in range(12) if rng.random() < 0.5}).relabel(perm)
+        for v in range(12):
+            assert_matches_reference(switch(G, G.neighbors(v)).delete_vertex(v).adj)

@@ -1,4 +1,6 @@
 """Graphs, switching, Seidel matrices, and switching-class keys."""
+import random
+
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
@@ -32,6 +34,13 @@ def graph_and_subsets(draw, max_n=7, subsets=1):
         {v for v in range(G.n) if draw(st.booleans())} for _ in range(subsets)
     ]
     return (G, *subs)
+
+
+def checked_key(G):
+    """canonical_key(G), after checking that its hex form parses back to it."""
+    key = canonical_key(G)
+    assert SwitchingClassKey.from_hex(key.hex) == key
+    return key
 
 
 class TestGraph:
@@ -169,22 +178,22 @@ def _closure_partition(n):
 
 class TestCanonicalKey:
     def test_trivial_sizes(self):
-        assert canonical_key(Graph.empty(0)) == SwitchingClassKey(0, b"")
-        assert canonical_key(Graph.empty(1)) == SwitchingClassKey(1, b"")
-        assert canonical_key(Graph.complete(2)) == canonical_key(Graph.empty(2))
+        assert checked_key(Graph.empty(0)) == SwitchingClassKey(0, b"")
+        assert checked_key(Graph.empty(1)) == SwitchingClassKey(1, b"")
+        assert checked_key(Graph.complete(2)) == checked_key(Graph.empty(2))
 
     @settings(max_examples=80, deadline=None)
     @given(graph_and_subsets(max_n=6, subsets=1))
     def test_constant_on_switching_orbit(self, gu):
         G, U = gu
-        assert canonical_key(switch(G, U)) == canonical_key(G)
+        assert checked_key(switch(G, U)) == checked_key(G)
 
     @settings(max_examples=60, deadline=None)
     @given(graphs(max_n=6, min_n=1), st.randoms())
     def test_constant_under_relabeling(self, G, rng):
         perm = list(range(G.n))
         rng.shuffle(perm)
-        assert canonical_key(G.relabel(perm)) == canonical_key(G)
+        assert checked_key(G.relabel(perm)) == checked_key(G)
 
     def test_matches_independent_closure(self):
         # the key is constant on each closure component and separates them
@@ -192,9 +201,24 @@ class TestCanonicalKey:
             comp = _closure_partition(n)
             key_of_comp = {}
             for bits, root in comp.items():
-                key = canonical_key(Graph.from_triangle_bits(n, bits))
+                key = checked_key(Graph.from_triangle_bits(n, bits))
                 assert key_of_comp.setdefault(root, key) == key
             assert len(set(key_of_comp.values())) == len(key_of_comp)
+
+    @pytest.mark.parametrize("n", [12, 16])
+    def test_constant_on_large_symmetric_classes(self, n):
+        # deep automorphism pruning: K_n and D_{n-t,t} have large groups
+        rng = random.Random(n)
+        keys = []
+        for G in (Graph.complete(n), Graph.complete_minus_matching(n - n // 4, n // 4)):
+            key = checked_key(G)
+            for _ in range(2):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                U = {v for v in range(n) if rng.random() < 0.5}
+                assert checked_key(switch(G, U).relabel(perm)) == key
+            keys.append(key)
+        assert keys[0] != keys[1]
 
     def test_representative_counts(self):
         # switching classes on 0..5 vertices, independently derived
@@ -218,3 +242,17 @@ class TestSwitchingClassKey:
         small = canonical_key(Graph.complete(3))
         large = canonical_key(Graph.empty(4))
         assert small < large
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",  # no vertex count
+            "21",  # 33 vertices
+            "05",  # 5 vertices need 2 key bytes
+            "02ffff",  # 2 vertices need 1 key byte
+            "03e1",  # 3 pair bits, then a set padding bit
+        ],
+    )
+    def test_from_hex_rejects_malformed_keys(self, text):
+        with pytest.raises(ValueError):
+            SwitchingClassKey.from_hex(text)
