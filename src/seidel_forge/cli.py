@@ -554,3 +554,7 @@ def main(argv=None) -> int:
 
 def cli() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    cli()

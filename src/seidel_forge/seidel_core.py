@@ -13,7 +13,7 @@ from itertools import combinations
 
 from .canon import canonical_form_bits, pack_bits
 from .exact_linalg import IntMatrix
-from .weyl_orbits import _chunk_tables
+from .weyl_orbits import _orbit_minima
 
 __all__ = [
     "Graph",
@@ -267,75 +267,33 @@ def canonical_key(G: Graph) -> SwitchingClassKey:
     return SwitchingClassKey(n, pack_bits(best, m))
 
 
-def _transposition_tables(n: int) -> list[tuple[int, list[int], list[int]]]:
-    """Chunked lookup tables for adjacent transpositions acting on packed bits.
-
-    Packed graphs use LSB-first pair indexing here (bit pair_index(i, j, n)).
-    Returns (split, low_table, high_table) per transposition (v, v+1).
-    """
-    m = n * (n - 1) // 2
-    tables = []
-    for v in range(n - 1):
-        perm = list(range(m))
-        t = list(range(n))
-        t[v], t[v + 1] = t[v + 1], t[v]
-        for i in range(n):
-            for j in range(i + 1, n):
-                a, b = t[i], t[j]
-                if a > b:
-                    a, b = b, a
-                perm[pair_index(i, j, n)] = pair_index(a, b, n)
-        tables.append(_chunk_tables(perm, m))
-    return tables
-
-
-def _switch_masks(n: int) -> list[int]:
-    """XOR masks on packed bits for switching by a single vertex."""
-    masks = []
-    for v in range(n):
-        mask = 0
-        for u in range(n):
-            if u != v:
-                i, j = min(u, v), max(u, v)
-                mask |= 1 << pair_index(i, j, n)
-        masks.append(mask)
-    return masks
+def _pair_permutation(t: list[int], n: int) -> list[int]:
+    """The permutation of pair bits (LSB-first pair_index) induced by the
+    vertex permutation t."""
+    perm = [0] * (n * (n - 1) // 2)
+    for i, j in combinations(range(n), 2):
+        a, b = sorted((t[i], t[j]))
+        perm[pair_index(i, j, n)] = pair_index(a, b, n)
+    return perm
 
 
 def switching_class_representatives(n: int) -> list[int]:
     """One packed graph (LSB-first pair bits) per switching class on n vertices.
 
-    Partitions all 2^(n(n-1)/2) graphs by closure under single-vertex
-    switchings and adjacent transpositions; the representative is the
-    numerically least member.  Exponential in n; intended for n <= 8.
+    Partitions all 2^(n(n-1)/2) graphs into orbits of the group generated by
+    switching at vertex 0, the transposition (0 1) and the n-cycle (together
+    they give every switching and relabelling); the representative is the
+    numerically least member.  Exponential in n; ValueError for n >= 9, whose
+    visited bitmap would pass the scan's cap.
     """
     m = n * (n - 1) // 2
     if n <= 1:
         return [0]
-    masks = _switch_masks(n)
-    tables = _transposition_tables(n)
-    total = 1 << m
-    visited = bytearray(total + 7 >> 3)
-    reps = []
-    for g in range(total):
-        if visited[g >> 3] >> (g & 7) & 1:
-            continue
-        reps.append(g)
-        visited[g >> 3] |= 1 << (g & 7)
-        stack = [g]
-        while stack:
-            cur = stack.pop()
-            for mask in masks:
-                nxt = cur ^ mask
-                if not visited[nxt >> 3] >> (nxt & 7) & 1:
-                    visited[nxt >> 3] |= 1 << (nxt & 7)
-                    stack.append(nxt)
-            for split, low, high in tables:
-                nxt = low[cur & (1 << split) - 1] | high[cur >> split]
-                if not visited[nxt >> 3] >> (nxt & 7) & 1:
-                    visited[nxt >> 3] |= 1 << (nxt & 7)
-                    stack.append(nxt)
-    return reps
+    swap = [1, 0] + list(range(2, n))
+    cycle = [(v + 1) % n for v in range(n)]
+    perms = [_pair_permutation(swap, n), _pair_permutation(cycle, n)]
+    switch0 = sum(1 << pair_index(0, v, n) for v in range(1, n))
+    return _orbit_minima(range(1 << m), m, perms, [switch0], 1 << m)
 
 
 def graph_from_packed(n: int, packed: int) -> Graph:

@@ -10,10 +10,14 @@ Subset-orbit counting uses the Cauchy-Frobenius (Burnside) lemma with one
 generating-function term per cycle type, counted by depth-first traversal of
 the transversal chain below one coset per orbit of the first base point's
 stabilizer on the first basic orbit; subset transversals use a lexicographic
-scan whose first hit in each orbit is provably the orbit's least member.
+scan whose first hit in each orbit is provably the orbit's least member.  The
+scan closes each orbit under a few random elements, drawn with a fixed seed,
+that generate the group (two for the 28-point E_8 image), and stops once
+every subset has been visited.
 """
 from __future__ import annotations
 
+import random
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations
@@ -32,6 +36,7 @@ __all__ = [
 
 _SCAN_CAP = 3_300_000  # largest binomial(m, n) the transversal scan will walk
 _MAX_ORDER = 10_000_000  # largest group order burnside_subset_counts accepts
+_BITMAP_BITS = 28  # widest mask an orbit scan keeps a visited bitmap for (32 MiB)
 
 
 def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
@@ -347,17 +352,25 @@ def burnside_subset_counts(G: PermGroup) -> tuple[int, ...]:
 
 
 def _reduced_generators(G: PermGroup) -> list[tuple[int, ...]]:
-    """A small generating subset of G's generators (greedy order growth)."""
+    """A few elements that generate G, drawn with a fixed seed.
+
+    Each draw composes one random transversal element per chain level, a
+    uniform element of G; it is kept only when it enlarges the generated
+    order, and drawing stops once that order is |G|.
+    """
     full = G.order()
+    rng = random.Random(0)
+    levels = [[lvl.transversal[x] for x in sorted(lvl.transversal)] for lvl in G._levels]
     selected: list[tuple[int, ...]] = []
     current = 1
-    for g in G.generators:
-        if current == full:
-            break
-        trial = PermGroup(G.degree, selected + [g])
-        if trial.order() > current:
+    while current < full:
+        g = tuple(range(G.degree))
+        for transversal in levels:
+            g = _compose(g, rng.choice(transversal))
+        order = PermGroup(G.degree, selected + [g]).order()
+        if order > current:
             selected.append(g)
-            current = trial.order()
+            current = order
     return selected
 
 
@@ -378,14 +391,64 @@ def _chunk_tables(gen, m: int) -> tuple[int, list[int], list[int]]:
     return split, low, high
 
 
+def _check_bitmap(bits: int) -> None:
+    if bits > _BITMAP_BITS:
+        raise ValueError(
+            f"a visited bitmap of 2^{bits} bits exceeds the cap of 2^{_BITMAP_BITS}"
+        )
+
+
+def _orbit_minima(candidates, bits: int, perms, masks, total: int) -> list[int]:
+    """The first candidate met in each orbit on a set of bits-bit masks.
+
+    The group is generated by the bit permutations perms and the XOR masks.
+    candidates run through the whole set in scan order; each candidate not
+    yet visited opens an orbit, which is closed by depth-first search over a
+    visited bitmap.  The scan stops once total masks, the size of the set,
+    are visited: every orbit is then closed.  ValueError, before any table
+    or bitmap is built, when the bitmap would exceed 2^_BITMAP_BITS bits.
+    """
+    _check_bitmap(bits)
+    tables = [_chunk_tables(p, bits) for p in perms]
+    visited = bytearray((1 << bits) + 7 >> 3)
+    out: list[int] = []
+    seen = 0
+    for start in candidates:
+        if visited[start >> 3] >> (start & 7) & 1:
+            continue
+        out.append(start)
+        visited[start >> 3] |= 1 << (start & 7)
+        seen += 1
+        stack = [start]
+        while stack:
+            cur = stack.pop()
+            for split, low, high in tables:
+                nxt = low[cur & (1 << split) - 1] | high[cur >> split]
+                if not visited[nxt >> 3] >> (nxt & 7) & 1:
+                    visited[nxt >> 3] |= 1 << (nxt & 7)
+                    seen += 1
+                    stack.append(nxt)
+            for mask in masks:
+                nxt = cur ^ mask
+                if not visited[nxt >> 3] >> (nxt & 7) & 1:
+                    visited[nxt >> 3] |= 1 << (nxt & 7)
+                    seen += 1
+                    stack.append(nxt)
+        if seen == total:
+            break
+    return out
+
+
 def subset_orbit_transversal(G: PermGroup, n: int) -> list[tuple[int, ...]]:
     """Lexicographically least representative of every orbit of n-subsets.
 
-    Scans all n-subsets in lexicographic order, closing each new orbit by
-    breadth-first search over bitmasks; the first subset met in an orbit is
-    its least member, so the output is exactly the set of orbit minima.
-    Feasible only while binomial(degree, n) stays below the scan cap; for
-    large n on 28 points use the complementary size.
+    Scans the n-subsets in lexicographic order and closes each new orbit
+    under the seeded generators of _reduced_generators; the first subset met
+    in an orbit is its least member, so the output is exactly the set of
+    orbit minima.  The scan ends once all binomial(degree, n) subsets are
+    visited.  Feasible only while binomial(degree, n) stays below the scan
+    cap and the degree within the bitmap cap; for large n on 28 points use
+    the complementary size.
     """
     m = G.degree
     if not 0 <= n <= m:
@@ -397,23 +460,7 @@ def subset_orbit_transversal(G: PermGroup, n: int) -> list[tuple[int, ...]]:
         )
     if n == 0:
         return [()]
-    tables = [_chunk_tables(g, m) for g in _reduced_generators(G)]
-    visited = bytearray((1 << m) + 7 >> 3)
-    out: list[tuple[int, ...]] = []
-    for combo in combinations(range(m), n):
-        mask = 0
-        for v in combo:
-            mask |= 1 << v
-        if visited[mask >> 3] >> (mask & 7) & 1:
-            continue
-        out.append(combo)
-        visited[mask >> 3] |= 1 << (mask & 7)
-        stack = [mask]
-        while stack:
-            cur = stack.pop()
-            for split, low, high in tables:
-                nxt = low[cur & (1 << split) - 1] | high[cur >> split]
-                if not visited[nxt >> 3] >> (nxt & 7) & 1:
-                    visited[nxt >> 3] |= 1 << (nxt & 7)
-                    stack.append(nxt)
-    return out
+    _check_bitmap(m)
+    candidates = map(sum, combinations([1 << v for v in range(m)], n))
+    minima = _orbit_minima(candidates, m, _reduced_generators(G), [], comb(m, n))
+    return [tuple(v for v in range(m) if mask >> v & 1) for mask in minima]

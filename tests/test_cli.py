@@ -1,5 +1,8 @@
 """Command-line interface: exit codes, formats, determinism, ledger output."""
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -213,3 +216,16 @@ class TestOutputPathHandling:
         assert code == 0
         lines = target.read_text().splitlines()
         assert json.loads(lines[0])["count"] == len(lines) - 1
+
+
+@pytest.mark.parametrize("module", ["seidel_forge", "seidel_forge.cli"])
+def test_python_dash_m_runs_the_cli(module):
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "reps", "--n", "29"],
+        capture_output=True, text=True, env=env, timeout=60, check=False,
+    )
+    assert proc.returncode == 2
+    assert "0..28" in proc.stderr

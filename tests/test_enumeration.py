@@ -101,8 +101,9 @@ class TestTransversalProperties:
         assert len(keys) == expected
 
     def test_counts_match_burnside(self):
+        # the transversal's early stop does not use c(n): two independent counts
         c = omega_table().raw_orbit_counts
-        for n in range(9):
+        for n in list(range(9)) + list(range(20, 29)):
             assert len(class_transversal(n)) == c[n]
 
 

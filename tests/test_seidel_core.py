@@ -5,6 +5,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from seidel_forge import weyl_orbits
 from seidel_forge.exact_linalg import max_eig_le
 from seidel_forge.seidel_core import (
     Graph,
@@ -18,6 +19,49 @@ from seidel_forge.seidel_core import (
     switch,
     switching_class_representatives,
 )
+from seidel_forge.weyl_orbits import _chunk_tables
+
+
+def reference_representatives(n: int) -> list[int]:
+    """Reference: close all 2^C(n,2) packed graphs under the n single-vertex
+    switchings and the n - 1 adjacent transpositions; no early stop."""
+    m = n * (n - 1) // 2
+    if n <= 1:
+        return [0]
+    masks = []
+    for v in range(n):
+        mask = 0
+        for u in range(n):
+            if u != v:
+                mask |= 1 << pair_index(min(u, v), max(u, v), n)
+        masks.append(mask)
+    tables = []
+    for v in range(n - 1):
+        t = list(range(n))
+        t[v], t[v + 1] = t[v + 1], t[v]
+        perm = [0] * m
+        for i in range(n):
+            for j in range(i + 1, n):
+                a, b = sorted((t[i], t[j]))
+                perm[pair_index(i, j, n)] = pair_index(a, b, n)
+        tables.append(_chunk_tables(perm, m))
+    visited = bytearray((1 << m) + 7 >> 3)
+    reps = []
+    for g in range(1 << m):
+        if visited[g >> 3] >> (g & 7) & 1:
+            continue
+        reps.append(g)
+        visited[g >> 3] |= 1 << (g & 7)
+        stack = [g]
+        while stack:
+            cur = stack.pop()
+            nexts = [cur ^ mask for mask in masks]
+            nexts += [low[cur & (1 << split) - 1] | high[cur >> split] for split, low, high in tables]
+            for nxt in nexts:
+                if not visited[nxt >> 3] >> (nxt & 7) & 1:
+                    visited[nxt >> 3] |= 1 << (nxt & 7)
+                    stack.append(nxt)
+    return reps
 
 
 @st.composite
@@ -225,6 +269,22 @@ class TestCanonicalKey:
         assert [len(switching_class_representatives(n)) for n in range(6)] == [
             1, 1, 1, 2, 3, 7,
         ]
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_representatives_match_reference(self, n):
+        assert switching_class_representatives(n) == reference_representatives(n)
+
+    def test_representative_count_n7(self):
+        assert len(switching_class_representatives(7)) == 54
+
+    def test_bitmap_cap_checked_before_any_table(self, monkeypatch):
+        # n = 9 has 2^36 graphs: refused before tables or the bitmap are built
+        def fail(*args):
+            raise AssertionError("built before the bitmap check")
+
+        monkeypatch.setattr(weyl_orbits, "_chunk_tables", fail)
+        with pytest.raises(ValueError, match="bitmap"):
+            switching_class_representatives(9)
 
     def test_graph_from_packed_roundtrip(self):
         for packed in switching_class_representatives(4):

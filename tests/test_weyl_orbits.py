@@ -1,12 +1,14 @@
 """Permutation groups, Weyl actions, Burnside counts, and orbit transversals."""
 import random
 from collections import Counter
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from sympy.combinatorics import Permutation as SymPerm
 from sympy.combinatorics import PermutationGroup as SymGroup
 
+from seidel_forge import weyl_orbits
 from seidel_forge.enumeration import e8_context
 from seidel_forge.root_lattices import (
     LatticeSpec,
@@ -16,9 +18,11 @@ from seidel_forge.root_lattices import (
 )
 from seidel_forge.weyl_orbits import (
     PermGroup,
+    _chunk_tables,
     _compose,
     _cycle_type,
     _inverse,
+    _reduced_generators,
     burnside_subset_counts,
     induced_action_on_classes,
     stabilizer_of_root,
@@ -53,6 +57,49 @@ def random_word(G: PermGroup, rng: random.Random, max_len: int = 20) -> tuple[in
     for _ in range(rng.randrange(max_len + 1) if gens else 0):
         p = _compose(rng.choice(gens), p)
     return p
+
+
+def greedy_reduced_generators(G: PermGroup) -> list[tuple[int, ...]]:
+    """Reference: a generating subset of G's generators (greedy order growth)."""
+    full = G.order()
+    selected: list[tuple[int, ...]] = []
+    current = 1
+    for g in G.generators:
+        if current == full:
+            break
+        trial = PermGroup(G.degree, selected + [g])
+        if trial.order() > current:
+            selected.append(g)
+            current = trial.order()
+    return selected
+
+
+def reference_transversal(G: PermGroup, n: int) -> list[tuple[int, ...]]:
+    """Reference: scan every n-subset in lexicographic order and close each
+    new orbit under the greedy generators; no early stop."""
+    m = G.degree
+    if n == 0:
+        return [()]
+    tables = [_chunk_tables(g, m) for g in greedy_reduced_generators(G)]
+    visited = bytearray((1 << m) + 7 >> 3)
+    out: list[tuple[int, ...]] = []
+    for combo in combinations(range(m), n):
+        mask = 0
+        for v in combo:
+            mask |= 1 << v
+        if visited[mask >> 3] >> (mask & 7) & 1:
+            continue
+        out.append(combo)
+        visited[mask >> 3] |= 1 << (mask & 7)
+        stack = [mask]
+        while stack:
+            cur = stack.pop()
+            for split, low, high in tables:
+                nxt = low[cur & (1 << split) - 1] | high[cur >> split]
+                if not visited[nxt >> 3] >> (nxt & 7) & 1:
+                    visited[nxt >> 3] |= 1 << (nxt & 7)
+                    stack.append(nxt)
+    return out
 
 
 def is_transitive(G: PermGroup) -> bool:
@@ -291,8 +338,6 @@ class TestBurnside:
 
 class TestSubsetOrbitTransversal:
     def test_trivial_group_lists_all_subsets(self):
-        from itertools import combinations
-
         G = PermGroup(4, [])
         assert subset_orbit_transversal(G, 2) == list(combinations(range(4), 2))
 
@@ -326,3 +371,66 @@ class TestSubsetOrbitTransversal:
         table = burnside_subset_counts(G)
         for n in range(G.degree + 1):
             assert len(subset_orbit_transversal(G, n)) == table[n]
+
+    def test_bitmap_cap_checked_before_any_table(self, monkeypatch):
+        # binomial(40, 2) passes the scan cap, but the visited bitmap would
+        # need 2^40 bits: refused before generators or tables are built
+        def fail(*args):
+            raise AssertionError("built before the bitmap check")
+
+        monkeypatch.setattr(weyl_orbits, "_reduced_generators", fail)
+        monkeypatch.setattr(weyl_orbits, "_chunk_tables", fail)
+        cyc40 = PermGroup(40, [tuple((i + 1) % 40 for i in range(40))])
+        with pytest.raises(ValueError, match="bitmap"):
+            subset_orbit_transversal(cyc40, 2)
+
+
+class TestAgainstReference:
+    """The seeded generators and the early stop against the greedy-generator
+    full scan kept here as reference_transversal."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(perm_groups())
+    def test_random_groups_every_n(self, dg):
+        degree, gens = dg
+        G = PermGroup(degree, gens)
+        for n in range(degree + 1):
+            assert subset_orbit_transversal(G, n) == reference_transversal(G, n)
+
+    def test_weyl_a3_every_n(self):
+        G = weyl_group_on_roots(LatticeSpec("A", 3))
+        for n in range(G.degree + 1):
+            assert subset_orbit_transversal(G, n) == reference_transversal(G, n)
+
+    @pytest.mark.parametrize("n", list(range(7)) + list(range(22, 29)))
+    def test_e8_image(self, n):
+        G = e8_context().image
+        assert subset_orbit_transversal(G, n) == reference_transversal(G, n)
+
+
+class TestReducedGenerators:
+    @staticmethod
+    def assert_generates(G: PermGroup) -> list[tuple[int, ...]]:
+        selected = _reduced_generators(G)
+        identity = tuple(range(G.degree))
+        for g in selected:
+            assert G._sift(g, 0)[0] == identity
+        assert PermGroup(G.degree, selected).order() == G.order()
+        return selected
+
+    @settings(max_examples=100, deadline=None)
+    @given(perm_groups())
+    def test_random_groups(self, dg):
+        degree, gens = dg
+        self.assert_generates(PermGroup(degree, gens))
+
+    def test_trivial_group(self):
+        assert _reduced_generators(PermGroup(5, [])) == []
+
+    def test_elementary_abelian_needs_three(self):
+        G = PermGroup(6, [(1, 0, 2, 3, 4, 5), (0, 1, 3, 2, 4, 5), (0, 1, 2, 3, 5, 4)])
+        assert G.order() == 8
+        assert len(self.assert_generates(G)) == 3
+
+    def test_e8_image(self):
+        self.assert_generates(e8_context().image)
