@@ -34,14 +34,7 @@ from .root_lattices import (
     roots,
     standard_switching_root,
 )
-from .weyl_orbits import (
-    PermGroup,
-    burnside_subset_counts,
-    induced_action_on_classes,
-    stabilizer_of_root,
-    subset_orbit_transversal,
-    weyl_group_on_roots,
-)
+from .weyl_orbits import PermGroup, burnside_subset_counts, subset_orbit_transversal
 from .enumeration import (
     E8Context,
     FamilyWitness,
@@ -92,10 +85,7 @@ __all__ = [
     "standard_switching_root",
     "PermGroup",
     "burnside_subset_counts",
-    "induced_action_on_classes",
-    "stabilizer_of_root",
     "subset_orbit_transversal",
-    "weyl_group_on_roots",
     "E8Context",
     "FamilyWitness",
     "OmegaTable",

@@ -10,7 +10,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 
 from .canon import canonical_form_bits
@@ -31,15 +30,16 @@ from .enumeration import (
     verify_fiber_n6,
 )
 from .exact_linalg import max_eig_le, rank
-from .root_lattices import gram_to_graph
+from .root_lattices import gram_to_graph, roots
 from .seidel_core import Graph, canonical_key, seidel_of_graph
+from .weyl_orbits import (
+    PermGroup,
+    induced_action_on_classes,
+    stabilizer_of_root,
+    weyl_group_on_roots,
+)
 
 __all__ = [
-    "RunConfig",
-    "cmd_omega_table",
-    "cmd_s_table",
-    "cmd_verify",
-    "cmd_reps",
     "main",
     "cli",
     "TABLE2_S",
@@ -55,22 +55,6 @@ TABLE3_OMEGA = (
     1, 1, 1, 2, 3, 5, 9, 16, 23, 37, 54, 70, 90, 101, 103,
     101, 90, 70, 54, 37, 23, 16, 10, 5, 3, 2, 1, 1, 1, 0,
 )
-
-
-@dataclass
-class RunConfig:
-    """Resolved invocation options for one subcommand run."""
-
-    command: str
-    n: int | None = None
-    n_max: int | None = None
-    output_path: str | None = None
-    fmt: str = "text-table"
-    check_paper: bool = False
-    no_meta: bool = False
-    only: str | None = None
-    samples: int = 500
-    seed: int = 0
 
 
 def _timestamp() -> str:
@@ -94,7 +78,7 @@ def _path_error(path: str | None) -> str | None:
     return None
 
 
-def _emit(text: str, cfg: RunConfig) -> int:
+def _emit(text: str, cfg: argparse.Namespace) -> int:
     if cfg.output_path is None:
         sys.stdout.write(text)
         return 0
@@ -107,7 +91,7 @@ def _emit(text: str, cfg: RunConfig) -> int:
     return 0
 
 
-def _text_table(rows: list[tuple[str, list]], cfg: RunConfig) -> str:
+def _text_table(rows: list[tuple[str, list]], cfg: argparse.Namespace) -> str:
     """Aligned table with n running along the columns."""
     labels = [label for label, _ in rows]
     label_w = max(len(s) for s in labels)
@@ -122,13 +106,13 @@ def _text_table(rows: list[tuple[str, list]], cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _json_payload(payload: dict, cfg: RunConfig) -> str:
+def _json_payload(payload: dict, cfg: argparse.Namespace) -> str:
     if not cfg.no_meta:
         payload = {**payload, "meta": {"generated_at": _timestamp()}}
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _jsonl_payload(kind: str, records: list[dict], cfg: RunConfig, **header) -> str:
+def _jsonl_payload(kind: str, records: list[dict], cfg: argparse.Namespace, **header) -> str:
     head = {"schema_version": SCHEMA_VERSION, "kind": kind, **header}
     if not cfg.no_meta:
         head["generated_at"] = _timestamp()
@@ -139,7 +123,7 @@ def _jsonl_payload(kind: str, records: list[dict], cfg: RunConfig, **header) -> 
 # -- omega-table ----------------------------------------------------------
 
 
-def cmd_omega_table(cfg: RunConfig) -> int:
+def cmd_omega_table(cfg: argparse.Namespace) -> int:
     err = _path_error(cfg.output_path)
     if err:
         print(err, file=sys.stderr)
@@ -189,7 +173,7 @@ def _cor_sn_residual_errors(table) -> list[str]:
     return errors
 
 
-def cmd_s_table(cfg: RunConfig) -> int:
+def cmd_s_table(cfg: argparse.Namespace) -> int:
     n_max = 13 if cfg.n_max is None else cfg.n_max
     if not 0 <= n_max <= 28:
         print("--n-max must be in 0..28", file=sys.stderr)
@@ -245,7 +229,7 @@ def cmd_s_table(cfg: RunConfig) -> int:
 # -- verify ---------------------------------------------------------------
 
 
-def _check_thm_cao(cfg: RunConfig) -> tuple[bool, str]:
+def _check_thm_cao(cfg: argparse.Namespace) -> tuple[bool, str]:
     report = verify_cao(8, cfg.samples, cfg.seed)
     detail = (
         f"{report['samples']} random graphs on <= 8 vertices, "
@@ -255,7 +239,7 @@ def _check_thm_cao(cfg: RunConfig) -> tuple[bool, str]:
     return report["ok"], detail
 
 
-def _check_lem_a(cfg: RunConfig) -> tuple[bool, str]:
+def _check_lem_a(cfg: argparse.Namespace) -> tuple[bool, str]:
     ctx = e8_context()
     problems = []
     n_r_count = sum(len(c.members()) for c in ctx.classes)
@@ -270,6 +254,23 @@ def _check_lem_a(cfg: RunConfig) -> tuple[bool, str]:
     report = verify_fiber_n6()
     if report["complement_min_norms"] != [2, 8]:
         problems.append(f"complement min norms {report['complement_min_norms']}")
+    # Second method for the image group: project the stabilizer of r in the
+    # W(E_8) chain on 240 roots.  Equal orders of ctx.image, the projection
+    # and their join mean that the two groups are equal.
+    r_index = roots(ctx.spec).index(ctx.r)
+    weyl = weyl_group_on_roots(ctx.spec, (r_index,))
+    if weyl.order() != 696_729_600:
+        problems.append(f"|W(E_8)| = {weyl.order()} != 696729600")
+    stab = stabilizer_of_root(weyl, r_index)
+    if stab.order() != 2_903_040:
+        problems.append(f"|W(E_8)_r| = {stab.order()} != 2903040")
+    projected = induced_action_on_classes(stab, ctx.classes)
+    order = ctx.image.order()
+    if projected.order() != order:
+        problems.append(f"projected stabilizer order {projected.order()} != image order {order}")
+    join = PermGroup(28, ctx.image.generators + projected.generators).order()
+    if join != order:
+        problems.append(f"image and projected stabilizer generate order {join} != {order}")
     ok = not problems
     detail = (
         "28 pair-classes from 56 roots; representative inner products in {0, 1}; "
@@ -280,7 +281,7 @@ def _check_lem_a(cfg: RunConfig) -> tuple[bool, str]:
     return ok, detail
 
 
-def _check_lem_sa(cfg: RunConfig) -> tuple[bool, str]:
+def _check_lem_sa(cfg: argparse.Namespace) -> tuple[bool, str]:
     bad = [
         n
         for n in range(11)
@@ -295,7 +296,7 @@ def _check_lem_sa(cfg: RunConfig) -> tuple[bool, str]:
     return ok, detail
 
 
-def _check_lem_sd(cfg: RunConfig) -> tuple[bool, str]:
+def _check_lem_sd(cfg: argparse.Namespace) -> tuple[bool, str]:
     problems = []
     pairs = 0
     for m in range(4, 13):
@@ -323,7 +324,7 @@ def _check_lem_sd(cfg: RunConfig) -> tuple[bool, str]:
     return ok, detail
 
 
-def _check_thm_sym(cfg: RunConfig) -> tuple[bool, str]:
+def _check_thm_sym(cfg: argparse.Namespace) -> tuple[bool, str]:
     problems = []
     c = omega_table().raw_orbit_counts
     for n in range(7):
@@ -344,7 +345,7 @@ def _check_thm_sym(cfg: RunConfig) -> tuple[bool, str]:
     return ok, detail
 
 
-def _check_cor_sym(cfg: RunConfig) -> tuple[bool, str]:
+def _check_cor_sym(cfg: argparse.Namespace) -> tuple[bool, str]:
     table = omega_table()
     c, om = table.raw_orbit_counts, table.omega
     problems = []
@@ -363,7 +364,7 @@ def _check_cor_sym(cfg: RunConfig) -> tuple[bool, str]:
     return ok, detail
 
 
-def _check_cor_sn(cfg: RunConfig) -> tuple[bool, str]:
+def _check_cor_sn(cfg: argparse.Namespace) -> tuple[bool, str]:
     errors = _cor_sn_residual_errors(s_table(28))
     ok = not errors
     detail = (
@@ -374,7 +375,7 @@ def _check_cor_sn(cfg: RunConfig) -> tuple[bool, str]:
     return ok, detail
 
 
-def _check_oracle(cfg: RunConfig) -> tuple[bool, str]:
+def _check_oracle(cfg: argparse.Namespace) -> tuple[bool, str]:
     n_max = 5 if cfg.n_max is None else cfg.n_max
     table = s_table(n_max)
     om = omega_table().omega
@@ -407,7 +408,7 @@ _CHECKS = (
 CHECK_NAMES = tuple(name for name, _ in _CHECKS)
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(cfg: argparse.Namespace) -> int:
     if cfg.n_max is not None and not 0 <= cfg.n_max <= 7:
         print("--n-max must be in 0..7", file=sys.stderr)
         return 2
@@ -427,7 +428,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 # -- reps -----------------------------------------------------------------
 
 
-def cmd_reps(cfg: RunConfig) -> int:
+def cmd_reps(cfg: argparse.Namespace) -> int:
     n = cfg.n
     if n is None or not 0 <= n <= 28:
         print("--n must be in 0..28", file=sys.stderr)
@@ -533,20 +534,8 @@ def main(argv=None) -> int:
         ns = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    cfg = RunConfig(
-        command=ns.command,
-        n=getattr(ns, "n", None),
-        n_max=getattr(ns, "n_max", None),
-        output_path=getattr(ns, "output_path", None),
-        fmt=getattr(ns, "fmt", "text-table"),
-        check_paper=getattr(ns, "check_paper", False),
-        no_meta=ns.no_meta,
-        only=getattr(ns, "only", None),
-        samples=getattr(ns, "samples", 500),
-        seed=getattr(ns, "seed", 0),
-    )
     try:
-        return _DISPATCH[ns.command](cfg)
+        return _DISPATCH[ns.command](ns)
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 1

@@ -21,8 +21,10 @@ from .root_lattices import (
     gram_determinant,
     gram_to_graph,
     hnf,
+    inner,
     orth_complement_in_E8,
     pair_classes,
+    reflect,
     roots,
     standard_switching_root,
 )
@@ -36,14 +38,7 @@ from .seidel_core import (
     seidel_of_graph,
     switching_class_representatives,
 )
-from .weyl_orbits import (
-    PermGroup,
-    burnside_subset_counts,
-    induced_action_on_classes,
-    stabilizer_of_root,
-    subset_orbit_transversal,
-    weyl_group_on_roots,
-)
+from .weyl_orbits import PermGroup, burnside_subset_counts, subset_orbit_transversal
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -74,27 +69,31 @@ SCHEMA_VERSION = 1
 
 @dataclass(frozen=True, eq=False)
 class E8Context:
-    """The E_8 pipeline fixture: roots, switching root, classes, groups."""
+    """The E_8 pipeline fixture: the switching root r, the 28 pair-classes,
+    and image, the group that the stabilizer of r in W(E_8) induces on them."""
 
     spec: LatticeSpec
     r: RootVector
-    r_index: int
     classes: tuple[PairClass, ...]
-    weyl: PermGroup
-    stabilizer: PermGroup
     image: PermGroup
 
 
 @lru_cache(maxsize=1)
 def e8_context() -> E8Context:
+    """Build the context; image is generated by the 63 reflections s_v with
+    (v, r) = 0, which generate the stabilizer of r (Steinberg; Humphreys,
+    Reflection Groups and Coxeter Groups, Thm 1.12).  Each fixes r, so it
+    maps the class of u to the class of s_v(u)."""
     spec = LatticeSpec("E", 8)
     r = standard_switching_root(spec)
-    r_index = roots(spec).index(r)
     classes = pair_classes(spec, r)
-    weyl = weyl_group_on_roots(spec, (r_index,))
-    stab = stabilizer_of_root(weyl, r_index)
-    image = induced_action_on_classes(stab, classes)
-    return E8Context(spec, r, r_index, classes, weyl, stab, image)
+    class_of = {m.coords2: i for i, c in enumerate(classes) for m in c.members()}
+    gens = [
+        tuple(class_of[reflect(v, c.u).coords2] for c in classes)
+        for v in roots(spec)
+        if inner(v, r) == 0 and v.coords2 > (-v).coords2  # s_v = s_{-v}
+    ]
+    return E8Context(spec, r, classes, PermGroup(len(classes), gens))
 
 
 @lru_cache(maxsize=None)

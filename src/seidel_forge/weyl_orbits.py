@@ -81,8 +81,9 @@ class _Level:
 class PermGroup:
     """Permutation group with a deterministic Schreier-Sims chain.
 
-    labels, when present, name the points (e.g. the root vectors a Weyl
-    group permutes).
+    base_prefix, distinct points in 0..degree-1, leads the base.  labels,
+    when present, name the points (e.g. the root vectors a Weyl group
+    permutes).
     """
 
     def __init__(self, degree: int, generators, base_prefix=(), labels=None):
@@ -99,6 +100,11 @@ class PermGroup:
                 seen.add(t)
                 gens.append(t)
         self._raw_gens = gens
+        base_prefix = tuple(base_prefix)
+        if len(set(base_prefix)) != len(base_prefix) or not all(
+            0 <= p < degree for p in base_prefix
+        ):
+            raise ValueError("base_prefix points must be distinct and in 0..degree-1")
         self._levels: list[_Level] = [_Level(p) for p in base_prefix]
         self._build()
 

@@ -20,6 +20,7 @@ from seidel_forge.enumeration import (
 from seidel_forge.exact_linalg import IntMatrix, max_eig_le, rank
 from seidel_forge.root_lattices import LatticeSpec, classify_root_lattice, roots
 from seidel_forge.seidel_core import Graph, canonical_key, seidel_of_graph
+from seidel_forge.weyl_orbits import stabilizer_of_root, weyl_group_on_roots
 
 # Reference values transcribed from the published classification tables.
 OMEGA_REFERENCE = (
@@ -104,8 +105,10 @@ def test_criterion_7_structural_constants():
     assert len(roots(LatticeSpec("E", 7))) == 126
     assert len(roots(LatticeSpec("E", 8))) == 240
     ctx = e8_context()
-    assert ctx.weyl.order() == 696729600
-    assert ctx.stabilizer.order() == 2903040
+    r_index = roots(ctx.spec).index(ctx.r)
+    weyl = weyl_group_on_roots(ctx.spec, (r_index,))
+    assert weyl.order() == 696729600
+    assert stabilizer_of_root(weyl, r_index).order() == 2903040
     assert ctx.image.order() == 1451520
     assert sum(len(c.members()) for c in ctx.classes) == 56
     assert len(ctx.classes) == 28

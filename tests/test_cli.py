@@ -1,4 +1,5 @@
 """Command-line interface: exit codes, formats, determinism, ledger output."""
+import dataclasses
 import json
 import os
 import subprocess
@@ -6,7 +7,10 @@ import sys
 
 import pytest
 
+from seidel_forge import cli
 from seidel_forge.cli import TABLE2_S, TABLE2_SE, TABLE3_OMEGA, main
+from seidel_forge.enumeration import e8_context
+from seidel_forge.weyl_orbits import PermGroup
 
 
 def run(capsys, *argv):
@@ -161,6 +165,25 @@ class TestVerify:
         )
         assert code == 0
         assert "60 random graphs" in out
+
+    def test_lem_a_pass_line(self, capsys):
+        code, out, _ = run(capsys, "verify", "--only", "lem:A")
+        assert code == 0
+        assert out == (
+            "[PASS] lem:A  28 pair-classes from 56 roots; representative inner "
+            "products in {0, 1}; A_7-complement min norms {2, 8}\n"
+        )
+
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_lem_a_fails_on_a_proper_subgroup(self, capsys, monkeypatch, k):
+        # the W(E_8) route catches an image built from too few reflections
+        ctx = e8_context()
+        small = dataclasses.replace(ctx, image=PermGroup(28, ctx.image.generators[:k]))
+        monkeypatch.setattr(cli, "e8_context", lambda: small)
+        code, out, _ = run(capsys, "verify", "--only", "lem:A")
+        assert code == 1
+        assert out.startswith("[FAIL] lem:A")
+        assert "generate order 1451520" in out
 
 
 class TestReps:

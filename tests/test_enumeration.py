@@ -1,4 +1,5 @@
 """The class-subset-to-switching-class map and the counting pipeline."""
+import dataclasses
 import random
 
 import pytest
@@ -31,6 +32,17 @@ from seidel_forge.weyl_orbits import _compose
 
 def _rank_3i_minus_s(G):
     return rank(IntMatrix.identity(G.n).scale(3).sub(seidel_of_graph(G)))
+
+
+class TestE8Context:
+    def test_image_from_reflections_fixing_r(self):
+        # one involution of the 28 classes per reflection s_v, (v, r) = 0
+        ctx = e8_context()
+        assert [f.name for f in dataclasses.fields(ctx)] == ["spec", "r", "classes", "image"]
+        gens = ctx.image.generators
+        assert len(gens) == 63
+        assert all(_compose(g, g) == tuple(range(28)) for g in gens)
+        assert ctx.image.order() == 1451520
 
 
 class TestPhi:

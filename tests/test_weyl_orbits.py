@@ -187,6 +187,13 @@ class TestPermGroup:
             assert H.order() == G.order() == 120
             assert H.base[: len(prefix)] == prefix
 
+    @pytest.mark.parametrize("prefix", [(-1,), (7,), (2, 2)])
+    def test_bad_base_prefix(self, prefix):
+        # checked before any transversal is built, where a negative point
+        # would wrap around and grow the transversal without end
+        with pytest.raises(ValueError, match="base_prefix"):
+            PermGroup(5, [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)], base_prefix=prefix)
+
     def test_cycle_type_counts(self):
         # S_3: identity, three transpositions, two 3-cycles
         G = PermGroup(3, [(1, 0, 2), (1, 2, 0)])
