@@ -34,7 +34,7 @@ from .root_lattices import (
     roots,
     standard_switching_root,
 )
-from .weyl_orbits import PermGroup, burnside_subset_counts, subset_orbit_transversal
+from .weyl_orbits import PermGroup, burnside_subset_counts
 from .enumeration import (
     E8Context,
     FamilyWitness,
@@ -85,7 +85,6 @@ __all__ = [
     "standard_switching_root",
     "PermGroup",
     "burnside_subset_counts",
-    "subset_orbit_transversal",
     "E8Context",
     "FamilyWitness",
     "OmegaTable",

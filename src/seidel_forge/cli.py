@@ -1,8 +1,8 @@
 """Command-line front end: count tables, verification ledger, and exports.
 
-Exit codes: 0 success, 1 verification or IO failure, 2 usage error,
-3 infeasible request.  Options are checked before any computation starts, so
-an out-of-range --n, --n-max or --samples exits 2 at once.
+Exit codes: 0 success, 1 verification or IO failure, 2 usage error.
+Options are checked before any computation starts, so an out-of-range --n,
+--n-max or --samples exits 2 at once.
 """
 from __future__ import annotations
 
@@ -15,14 +15,15 @@ from datetime import datetime, timezone
 from .canon import canonical_form_bits
 from .enumeration import (
     SCHEMA_VERSION,
-    _distinct_key_ranks,
     _three_i_minus_s,
     brute_force_counts,
+    class_transversal,
     construct_Kn_class,
     dst_witness,
     e8_context,
     omega_table,
     omega_table_json,
+    phi,
     reps_records,
     s_table,
     s_table_json,
@@ -227,19 +228,21 @@ def cmd_s_table(cfg: argparse.Namespace) -> int:
 
 
 # -- verify ---------------------------------------------------------------
+#
+# Each check returns (problems, pass_text); cmd_verify prints PASS with the
+# text when there are no problems, and FAIL with the problems otherwise.
 
 
-def _check_thm_cao(cfg: argparse.Namespace) -> tuple[bool, str]:
+def _check_thm_cao(cfg: argparse.Namespace) -> tuple[list[str], str]:
     report = verify_cao(8, cfg.samples, cfg.seed)
-    detail = (
+    problems = [f"{len(report['failures'])} failures"] if report["failures"] else []
+    return problems, (
         f"{report['samples']} random graphs on <= 8 vertices, "
-        f"{report['bounded_cases']} with lambda_max <= 3; "
-        f"{len(report['failures'])} failures"
+        f"{report['bounded_cases']} with lambda_max <= 3; 0 failures"
     )
-    return report["ok"], detail
 
 
-def _check_lem_a(cfg: argparse.Namespace) -> tuple[bool, str]:
+def _check_lem_a(cfg: argparse.Namespace) -> tuple[list[str], str]:
     ctx = e8_context()
     problems = []
     n_r_count = sum(len(c.members()) for c in ctx.classes)
@@ -271,32 +274,22 @@ def _check_lem_a(cfg: argparse.Namespace) -> tuple[bool, str]:
     join = PermGroup(28, ctx.image.generators + projected.generators).order()
     if join != order:
         problems.append(f"image and projected stabilizer generate order {join} != {order}")
-    ok = not problems
-    detail = (
+    return problems, (
         "28 pair-classes from 56 roots; representative inner products in {0, 1}; "
         "A_7-complement min norms {2, 8}"
-        if ok
-        else "; ".join(problems)
     )
-    return ok, detail
 
 
-def _check_lem_sa(cfg: argparse.Namespace) -> tuple[bool, str]:
-    bad = [
-        n
+def _check_lem_sa(cfg: argparse.Namespace) -> tuple[list[str], str]:
+    problems = [
+        f"K_n mismatch at n = {n}"
         for n in range(11)
         if construct_Kn_class(n) != canonical_key(Graph.complete(n))
     ]
-    ok = not bad
-    detail = (
-        "A_{n+1} witness reproduces [S(K_n)] for n = 0..10"
-        if ok
-        else f"K_n mismatch at n = {bad}"
-    )
-    return ok, detail
+    return problems, "A_{n+1} witness reproduces [S(K_n)] for n = 0..10"
 
 
-def _check_lem_sd(cfg: argparse.Namespace) -> tuple[bool, str]:
+def _check_lem_sd(cfg: argparse.Namespace) -> tuple[list[str], str]:
     problems = []
     pairs = 0
     for m in range(4, 13):
@@ -314,38 +307,27 @@ def _check_lem_sd(cfg: argparse.Namespace) -> tuple[bool, str]:
                 problems.append(f"({n}, {m}): lambda_max > 3")
             if (rk < n) != (n >= m):
                 problems.append(f"({n}, {m}): eigenvalue-3 boundary wrong")
-    ok = not problems
-    detail = (
+    return problems, (
         f"{pairs} feasible (n, m) with m <= 12: graph D_(m-2),(n-m+2), "
         "rank m - 1, eigenvalue 3 exactly when n >= m"
-        if ok
-        else "; ".join(problems)
     )
-    return ok, detail
 
 
-def _check_thm_sym(cfg: argparse.Namespace) -> tuple[bool, str]:
+def _check_thm_sym(cfg: argparse.Namespace) -> tuple[list[str], str]:
     problems = []
-    c = omega_table().raw_orbit_counts
-    for n in range(7):
-        distinct = len(_distinct_key_ranks(n))
-        expected = c[n] - (1 if n == 6 else 0)
-        if distinct != expected:
-            problems.append(f"n = {n}: {distinct} distinct keys != {expected}")
-    report = verify_fiber_n6()
-    if not report["ok"]:
-        problems.extend(report["failures"])
-    ok = not problems
-    detail = (
-        "phi injective for n <= 6 away from the doubled fiber; "
+    omega = omega_table().omega
+    for n in range(29):
+        distinct = len({phi(subset) for subset in class_transversal(n)})
+        if distinct != omega[n]:
+            problems.append(f"n = {n}: {distinct} distinct keys != omega = {omega[n]}")
+    problems.extend(verify_fiber_n6()["failures"])
+    return problems, (
+        "phi keys on the orbit transversal number omega(n) for n = 0..28; "
         "the n = 6 fiber is exactly {two orbits} over [S(K_6)]"
-        if ok
-        else "; ".join(problems)
     )
-    return ok, detail
 
 
-def _check_cor_sym(cfg: argparse.Namespace) -> tuple[bool, str]:
+def _check_cor_sym(cfg: argparse.Namespace) -> tuple[list[str], str]:
     table = omega_table()
     c, om = table.raw_orbit_counts, table.omega
     problems = []
@@ -355,27 +337,15 @@ def _check_cor_sym(cfg: argparse.Namespace) -> tuple[bool, str]:
         problems.append("omega(n) != omega(28 - n) off {6, 22}")
     if om[6] + 1 != om[22]:
         problems.append(f"omega(6) + 1 = {om[6] + 1} != omega(22) = {om[22]}")
-    ok = not problems
-    detail = (
-        "c(n) = c(28 - n); omega symmetric except omega(6) + 1 = omega(22)"
-        if ok
-        else "; ".join(problems)
-    )
-    return ok, detail
+    return problems, "c(n) = c(28 - n); omega symmetric except omega(6) + 1 = omega(22)"
 
 
-def _check_cor_sn(cfg: argparse.Namespace) -> tuple[bool, str]:
+def _check_cor_sn(cfg: argparse.Namespace) -> tuple[list[str], str]:
     errors = _cor_sn_residual_errors(s_table(28))
-    ok = not errors
-    detail = (
-        "s = s_e + 2 and the s - omega residuals hold for n = 8..28"
-        if ok
-        else "; ".join(errors)
-    )
-    return ok, detail
+    return errors, "s = s_e + 2 and the s - omega residuals hold for n = 8..28"
 
 
-def _check_oracle(cfg: argparse.Namespace) -> tuple[bool, str]:
+def _check_oracle(cfg: argparse.Namespace) -> tuple[list[str], str]:
     n_max = 5 if cfg.n_max is None else cfg.n_max
     table = s_table(n_max)
     om = omega_table().omega
@@ -385,13 +355,7 @@ def _check_oracle(cfg: argparse.Namespace) -> tuple[bool, str]:
         want = (table.s[n], table.s_e[n], om[n])
         if got != want:
             problems.append(f"n = {n}: brute force {got} != pipeline {want}")
-    ok = not problems
-    detail = (
-        f"brute force agrees with the pipeline for n = 0..{n_max}"
-        if ok
-        else "; ".join(problems)
-    )
-    return ok, detail
+    return problems, f"brute force agrees with the pipeline for n = 0..{n_max}"
 
 
 _CHECKS = (
@@ -419,9 +383,10 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
     all_ok = True
     width = max(len(n) for n, _ in selected)
     for name, fn in selected:
-        ok, detail = fn(cfg)
-        all_ok = all_ok and ok
-        print(f"[{'PASS' if ok else 'FAIL'}] {name.ljust(width)}  {detail}")
+        problems, pass_text = fn(cfg)
+        all_ok = all_ok and not problems
+        detail = "; ".join(problems) if problems else pass_text
+        print(f"[{'FAIL' if problems else 'PASS'}] {name.ljust(width)}  {detail}")
     return 0 if all_ok else 1
 
 
@@ -433,14 +398,6 @@ def cmd_reps(cfg: argparse.Namespace) -> int:
     if n is None or not 0 <= n <= 28:
         print("--n must be in 0..28", file=sys.stderr)
         return 2
-    if not (n <= 8 or n >= 20):
-        print(
-            f"transversal at n = {n} is infeasible (supported: 0..8 and 20..28); "
-            f"orbits of {n}-subsets correspond one-to-one to orbits of "
-            f"{28 - n}-subsets under complementation within 0..27",
-            file=sys.stderr,
-        )
-        return 3
     err = _path_error(cfg.output_path)
     if err:
         print(err, file=sys.stderr)
@@ -514,7 +471,7 @@ def _build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="orbit representatives at size n with keys, ranks, lattice types",
     )
-    p.add_argument("--n", type=int, required=True, help="subset size, in 0..8 or 20..28")
+    p.add_argument("--n", type=int, required=True, help="subset size, 0..28")
     p.add_argument("--format", dest="fmt", choices=["json", "jsonl", "text-table"], default="jsonl")
     p.add_argument("-o", "--output", dest="output_path")
 

@@ -1,7 +1,8 @@
 """Enumeration pipelines for switching classes with largest Seidel eigenvalue 3.
 
-Ties everything together: the map phi from subsets of the 28 pair-classes of
-E_8 to switching classes on n vertices, the one-class A- and D-family
+Ties everything together: the orderly ladder of orbit representatives of
+subsets of the 28 pair-classes of E_8, the map phi from those subsets to
+switching classes on n vertices, the one-class A- and D-family
 constructions, the omega / s / s_e count tables, the two-element fiber at
 n = 6, and independent brute-force and random-graph cross-checks.
 """
@@ -10,6 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 
 from .exact_linalg import IntMatrix, is_psd, max_eig_le, rank
 from .root_lattices import (
@@ -38,7 +40,7 @@ from .seidel_core import (
     seidel_of_graph,
     switching_class_representatives,
 )
-from .weyl_orbits import PermGroup, burnside_subset_counts, subset_orbit_transversal
+from .weyl_orbits import PermGroup, burnside_subset_counts
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -96,10 +98,61 @@ def e8_context() -> E8Context:
     return E8Context(spec, r, classes, PermGroup(len(classes), gens))
 
 
-@lru_cache(maxsize=None)
+def _orderly_ladder(gens, adj, counts) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Least member of each orbit of n-subsets, n = 0..m, of the group gens
+    generates on the vertices of the graph adj; counts[n] is the orbit count.
+
+    p(a, b) counts the w in T - {a, b} with {a, b, w} odd in adj; I(T), the
+    sorted multiset of the sorted rows of p, is an orbit invariant as every
+    generator keeps triple parity (checked first).  Level n's candidates
+    S + x, x > max S, hold every orbit's least member, as S lex-least makes
+    S - {max S} lex-least.  Grouped by I, or with the multiset of I over the
+    one-point extensions when I falls short, exactly counts[n] groups means
+    one orbit per group and its least candidate; else RuntimeError.
+    """
+    m = len(adj)
+    # odd[a][b]: the w making {a, b, w} odd; bits a and b cancel, as adj has no loops
+    odd = [[adj[a] ^ adj[b] ^ -(adj[a] >> b & 1) & (1 << m) - 1 for b in range(m)] for a in range(m)]
+    triples = [(a, b, w) for a, b in combinations(range(m), 2) for w in range(b + 1, m) if odd[a][b] >> w & 1]
+    for g in gens:
+        if not all(odd[g[a]][g[b]] >> g[w] & 1 for a, b, w in triples):
+            raise RuntimeError("a generator maps an odd triple to an even one")
+
+    def invariant(T) -> tuple:
+        mask = sum(1 << v for v in T)
+        rows = (sorted((odd[a][b] & mask).bit_count() for b in T if b != a) for a in T)
+        return tuple(sorted(map(tuple, rows)))
+
+    def extended(T) -> tuple:
+        return invariant(T), tuple(sorted(invariant(T + (y,)) for y in range(m) if y not in T))
+
+    levels = [((),)]
+    for n in range(1, m + 1):
+        candidates = [S + (x,) for S in levels[-1] for x in range(S[-1] + 1 if S else 0, m)]
+        for key in (invariant, extended):
+            least: dict[tuple, tuple[int, ...]] = {}
+            for T in candidates:  # in lexicographic order
+                least.setdefault(key(T), T)
+            if len(least) >= counts[n]:
+                break
+        if len(least) != counts[n]:
+            raise RuntimeError(f"n = {n}: {len(least)} invariant classes != {counts[n]} orbits")
+        levels.append(tuple(least.values()))
+    return tuple(levels)
+
+
+@lru_cache(maxsize=1)
+def _class_ladder() -> tuple[tuple[tuple[int, ...], ...], ...]:
+    gens, counts = e8_context().image.generators, omega_table().raw_orbit_counts
+    return _orderly_ladder(gens, phi_graph(range(28)).adj, counts)
+
+
 def class_transversal(n: int) -> tuple[tuple[int, ...], ...]:
-    """Cached orbit transversal of n-subsets of the 28 pair-classes."""
-    return tuple(subset_orbit_transversal(e8_context().image, n))
+    """Lex-least member of every orbit of n-subsets of the 28 pair-classes,
+    in lexicographic order (one cached ladder serves every n)."""
+    if not 0 <= n <= 28:
+        raise ValueError("subset size must be in 0..28")
+    return _class_ladder()[n]
 
 
 def _class_vectors(subset) -> list[RootVector]:

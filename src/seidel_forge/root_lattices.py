@@ -46,10 +46,6 @@ class RootVector:
         return len(self.coords2)
 
     @staticmethod
-    def from_ints(coords) -> "RootVector":
-        return RootVector(tuple(2 * int(c) for c in coords))
-
-    @staticmethod
     def unit(i: int, dim: int) -> "RootVector":
         return RootVector(tuple(2 * int(k == i) for k in range(dim)))
 

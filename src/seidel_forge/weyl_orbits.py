@@ -9,11 +9,9 @@ under the generators stored at this level and deeper.  Composition acts left:
 Subset-orbit counting uses the Cauchy-Frobenius (Burnside) lemma with one
 generating-function term per cycle type, counted by depth-first traversal of
 the transversal chain below one coset per orbit of the first base point's
-stabilizer on the first basic orbit; subset transversals use a lexicographic
-scan whose first hit in each orbit is provably the orbit's least member.  The
-scan closes each orbit under a few random elements, drawn with a fixed seed,
-that generate the group (two for the 28-point E_8 image), and stops once
-every subset has been visited.
+stabilizer on the first basic orbit.  subset_orbit_transversal, a
+lexicographic scan that closes each orbit under a few seeded generators, is
+the reference the pipeline's orderly ladder (enumeration) is tested against.
 """
 from __future__ import annotations
 
@@ -449,12 +447,9 @@ def subset_orbit_transversal(G: PermGroup, n: int) -> list[tuple[int, ...]]:
     """Lexicographically least representative of every orbit of n-subsets.
 
     Scans the n-subsets in lexicographic order and closes each new orbit
-    under the seeded generators of _reduced_generators; the first subset met
-    in an orbit is its least member, so the output is exactly the set of
-    orbit minima.  The scan ends once all binomial(degree, n) subsets are
-    visited.  Feasible only while binomial(degree, n) stays below the scan
-    cap and the degree within the bitmap cap; for large n on 28 points use
-    the complementary size.
+    under the seeded generators of _reduced_generators, so the first subset
+    met in an orbit is its least member; stops once every subset is visited.
+    ValueError past the scan cap (use the complementary size) or bitmap cap.
     """
     m = G.degree
     if not 0 <= n <= m:

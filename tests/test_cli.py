@@ -174,6 +174,14 @@ class TestVerify:
             "products in {0, 1}; A_7-complement min norms {2, 8}\n"
         )
 
+    def test_thm_sym_pass_line(self, capsys):
+        code, out, _ = run(capsys, "verify", "--only", "thm:sym")
+        assert code == 0
+        assert out == (
+            "[PASS] thm:sym  phi keys on the orbit transversal number omega(n) for "
+            "n = 0..28; the n = 6 fiber is exactly {two orbits} over [S(K_6)]\n"
+        )
+
     @pytest.mark.parametrize("k", [0, 3])
     def test_lem_a_fails_on_a_proper_subgroup(self, capsys, monkeypatch, k):
         # the W(E_8) route catches an image built from too few reflections
@@ -187,10 +195,15 @@ class TestVerify:
 
 
 class TestReps:
-    def test_infeasible_midrange(self, capsys):
-        code, _, err = run(capsys, "reps", "--n", "14")
-        assert code == 3
-        assert "complementation" in err
+    def test_midrange_n14(self, capsys):
+        # the peak of omega: 103 orbits, each of rank <= 7
+        code, out, _ = run(capsys, "reps", "--n", "14", "--no-meta")
+        assert code == 0
+        lines = out.splitlines()
+        assert json.loads(lines[0])["count"] == 103
+        records = [json.loads(l) for l in lines[1:]]
+        assert len(records) == 103
+        assert all(r["rank"] <= 7 for r in records)
 
     def test_out_of_range(self, capsys):
         code, _, _ = run(capsys, "reps", "--n", "29")

@@ -7,6 +7,7 @@ import pytest
 from seidel_forge.canon import canonical_form_bits
 from seidel_forge.enumeration import (
     OmegaTable,
+    _orderly_ladder,
     brute_force_counts,
     class_transversal,
     construct_Dst_class,
@@ -27,11 +28,19 @@ from seidel_forge.enumeration import (
 from seidel_forge.exact_linalg import IntMatrix, max_eig_le, rank
 from seidel_forge.root_lattices import gram_to_graph
 from seidel_forge.seidel_core import Graph, canonical_key, seidel_of_graph, switch
-from seidel_forge.weyl_orbits import _compose
+from seidel_forge.weyl_orbits import _compose, subset_orbit_transversal
 
 
 def _rank_3i_minus_s(G):
     return rank(IntMatrix.identity(G.n).scale(3).sub(seidel_of_graph(G)))
+
+
+def _random_word(gens, rng):
+    """A product of up to 20 random generators."""
+    g = tuple(range(28))
+    for _ in range(rng.randrange(21)):
+        g = _compose(rng.choice(gens), g)
+    return g
 
 
 class TestE8Context:
@@ -87,24 +96,21 @@ class TestPhi:
         checks = 0
         while checks < 1000:
             for subset in reps:
-                # a random word of up to 20 generators
-                g = tuple(range(28))
-                for _ in range(rng.randrange(21)):
-                    g = _compose(rng.choice(gens), g)
+                g = _random_word(gens, rng)
                 moved = tuple(sorted(g[x] for x in subset))
                 assert phi(moved) == phi(subset)
                 checks += 1
 
 
 class TestTransversalProperties:
-    @pytest.mark.parametrize("n", list(range(9)) + [20])
+    @pytest.mark.parametrize("n", range(29))
     def test_representatives_satisfy_bound_and_rank(self, n):
         for subset in class_transversal(n):
             G = phi_graph(subset)
             assert max_eig_le(seidel_of_graph(G), 3)
             assert _rank_3i_minus_s(G) <= 7
 
-    @pytest.mark.parametrize("n", list(range(9)) + list(range(20, 29)))
+    @pytest.mark.parametrize("n", range(29))
     def test_phi_injectivity_up_to_known_fiber(self, n):
         # distinct keys = orbit count, except the single doubled class at n = 6
         reps = class_transversal(n)
@@ -113,10 +119,55 @@ class TestTransversalProperties:
         assert len(keys) == expected
 
     def test_counts_match_burnside(self):
-        # the transversal's early stop does not use c(n): two independent counts
+        # the ladder is certified against c(n); the scan, which never reads
+        # c(n), gives the same lists wherever it is feasible
         c = omega_table().raw_orbit_counts
+        assert [len(class_transversal(n)) for n in range(29)] == list(c)
+        image = e8_context().image
         for n in list(range(9)) + list(range(20, 29)):
-            assert len(class_transversal(n)) == c[n]
+            assert list(class_transversal(n)) == subset_orbit_transversal(image, n)
+
+    @pytest.mark.parametrize("n", range(9, 20))
+    def test_representatives_are_orbit_minima(self, n):
+        # the sizes the scan cannot reach: no random image is lex-smaller
+        gens = e8_context().image.generators
+        rng = random.Random(n)
+        reps = class_transversal(n)
+        for _ in range(-(-1000 // len(reps))):
+            for rep in reps:
+                g = _random_word(gens, rng)
+                assert tuple(sorted(g[x] for x in rep)) >= rep
+
+    @pytest.mark.parametrize("n", [-1, 29])
+    def test_size_out_of_range(self, n):
+        with pytest.raises(ValueError):
+            class_transversal(n)
+
+
+class TestOrderlyLadder:
+    @staticmethod
+    def inputs():
+        return (
+            e8_context().image.generators,
+            phi_graph(range(28)).adj,
+            omega_table().raw_orbit_counts,
+        )
+
+    @pytest.mark.parametrize("n,delta", [(6, 1), (10, -1), (10, 1), (14, 1)])
+    def test_orbit_count_off_by_one(self, n, delta):
+        gens, adj, counts = self.inputs()
+        bad = list(counts)
+        bad[n] += delta
+        with pytest.raises(RuntimeError, match=f"n = {n}:"):
+            _orderly_ladder(gens, adj, bad)
+
+    def test_generator_breaking_triple_parity(self):
+        # the transposition (0 1) is no automorphism of the two-graph, so I
+        # would not be an orbit invariant of the group it joins
+        gens, adj, counts = self.inputs()
+        swap = (1, 0) + tuple(range(2, 28))
+        with pytest.raises(RuntimeError, match="odd triple"):
+            _orderly_ladder(gens + (swap,), adj, counts)
 
 
 class TestOmegaTable:

@@ -415,6 +415,21 @@ class TestAgainstReference:
         assert subset_orbit_transversal(G, n) == reference_transversal(G, n)
 
 
+class TestOrderlyLemma:
+    """The lemma behind the enumeration ladder: removing the largest point
+    from an orbit's least n-subset leaves the least member of its orbit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(perm_groups())
+    def test_representative_minus_max_is_a_representative(self, dg):
+        degree, gens = dg
+        G = PermGroup(degree, gens)
+        reps = [set(reference_transversal(G, n)) for n in range(degree + 1)]
+        for n in range(degree):
+            for T in reps[n + 1]:
+                assert T[:-1] in reps[n]
+
+
 class TestReducedGenerators:
     @staticmethod
     def assert_generates(G: PermGroup) -> list[tuple[int, ...]]:
