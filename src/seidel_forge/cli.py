@@ -58,10 +58,6 @@ TABLE3_OMEGA = (
 )
 
 
-def _timestamp() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
-
-
 def _path_error(path: str | None) -> str | None:
     """Validate the output target before any long computation starts."""
     if path is None:
@@ -92,33 +88,30 @@ def _emit(text: str, cfg: argparse.Namespace) -> int:
     return 0
 
 
-def _text_table(rows: list[tuple[str, list]], cfg: argparse.Namespace) -> str:
-    """Aligned table with n running along the columns."""
-    labels = [label for label, _ in rows]
-    label_w = max(len(s) for s in labels)
-    ncols = len(rows[0][1])
-    widths = [
-        max(len(str(values[c])) for _, values in rows) for c in range(ncols)
-    ]
-    lines = [] if cfg.no_meta else [f"# generated-at: {_timestamp()}"]
-    for label, values in rows:
-        cells = " ".join(str(v).rjust(w) for v, w in zip(values, widths))
-        lines.append(f"{label.ljust(label_w)} | {cells}")
-    return "\n".join(lines) + "\n"
-
-
-def _json_payload(payload: dict, cfg: argparse.Namespace) -> str:
-    if not cfg.no_meta:
-        payload = {**payload, "meta": {"generated_at": _timestamp()}}
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def _jsonl_payload(kind: str, records: list[dict], cfg: argparse.Namespace, **header) -> str:
-    head = {"schema_version": SCHEMA_VERSION, "kind": kind, **header}
-    if not cfg.no_meta:
-        head["generated_at"] = _timestamp()
-    lines = [json.dumps(head)] + [json.dumps(r) for r in records]
-    return "\n".join(lines) + "\n"
+def _render(cfg: argparse.Namespace, kind: str, payload: dict, records: list[dict],
+            rows: list[tuple[str, list]], footer: str = "", **header) -> int:
+    """Emit a command's output in the chosen format: payload as json; a header
+    line and one line per record as jsonl; rows as an aligned table with n
+    along the columns, then footer, as text-table."""
+    stamp = None if cfg.no_meta else datetime.now(timezone.utc).isoformat(timespec="seconds")
+    if cfg.fmt == "json":
+        if stamp:
+            payload = {**payload, "meta": {"generated_at": stamp}}
+        text = json.dumps(payload, indent=2) + "\n"
+    elif cfg.fmt == "jsonl":
+        head = {"schema_version": SCHEMA_VERSION, "kind": kind, **header, "count": len(records)}
+        if stamp:
+            head["generated_at"] = stamp
+        text = "\n".join(json.dumps(x) for x in [head, *records]) + "\n"
+    else:
+        label_w = max(len(label) for label, _ in rows)
+        widths = [max(len(str(v)) for v in column) for column in zip(*(vals for _, vals in rows))]
+        lines = [] if stamp is None else [f"# generated-at: {stamp}"]
+        for label, values in rows:
+            cells = " ".join(str(v).rjust(w) for v, w in zip(values, widths))
+            lines.append(f"{label.ljust(label_w)} | {cells}")
+        text = "\n".join(lines) + "\n" + footer
+    return _emit(text, cfg)
 
 
 # -- omega-table ----------------------------------------------------------
@@ -137,24 +130,16 @@ def cmd_omega_table(cfg: argparse.Namespace) -> int:
             print(f"omega mismatch against the reference table at n = {bad}", file=sys.stderr)
             return 1
         print("check-paper: omega(0..29) matches the reference table", file=sys.stderr)
-    if cfg.fmt == "json":
-        text = _json_payload(omega_table_json(table), cfg)
-    elif cfg.fmt == "jsonl":
-        records = [
-            {"n": n, "omega": table.omega[n], "orbit_count": table.raw_orbit_counts[n]}
-            for n in range(29)
-        ]
-        text = _jsonl_payload("omega-table", records, cfg, count=len(records))
-    else:
-        text = _text_table(
-            [
-                ("n", list(range(29))),
-                ("omega", list(table.omega)),
-                ("c", list(table.raw_orbit_counts)),
-            ],
-            cfg,
-        )
-    return _emit(text, cfg)
+    records = [
+        {"n": n, "omega": table.omega[n], "orbit_count": table.raw_orbit_counts[n]}
+        for n in range(29)
+    ]
+    rows = [
+        ("n", list(range(29))),
+        ("omega", list(table.omega)),
+        ("c", list(table.raw_orbit_counts)),
+    ]
+    return _render(cfg, "omega-table", omega_table_json(table), records, rows)
 
 
 # -- s-table --------------------------------------------------------------
@@ -197,34 +182,26 @@ def cmd_s_table(cfg: argparse.Namespace) -> int:
     if residuals:
         print("residual identities failed: " + "; ".join(residuals), file=sys.stderr)
         return 1
-    if cfg.fmt == "json":
-        text = _json_payload(s_table_json(table), cfg)
-    elif cfg.fmt == "jsonl":
-        records = [
-            {
-                "n": n,
-                "s": table.s[n],
-                "s_e": table.s_e[n],
-                "provenance": table.provenance[n],
-            }
-            for n in range(n_max + 1)
-        ]
-        text = _jsonl_payload("s-table", records, cfg, count=len(records))
-    else:
-        text = _text_table(
-            [
-                ("n", list(range(n_max + 1))),
-                ("s", list(table.s)),
-                ("s_e", list(table.s_e)),
-            ],
-            cfg,
-        )
-        if n_max >= 8:
-            text += (
-                f"residuals for n = 8..{n_max}: s - s_e = 2 and "
-                "s - omega = n - 6 (n <= 12), floor(n/2) + 1 (n >= 13): OK\n"
-            )
-    return _emit(text, cfg)
+    records = [
+        {
+            "n": n,
+            "s": table.s[n],
+            "s_e": table.s_e[n],
+            "provenance": table.provenance[n],
+        }
+        for n in range(n_max + 1)
+    ]
+    rows = [
+        ("n", list(range(n_max + 1))),
+        ("s", list(table.s)),
+        ("s_e", list(table.s_e)),
+    ]
+    footer = (
+        f"residuals for n = 8..{n_max}: s - s_e = 2 and "
+        "s - omega = n - 6 (n <= 12), floor(n/2) + 1 (n >= 13): OK\n"
+        if n_max >= 8 else ""
+    )
+    return _render(cfg, "s-table", s_table_json(table), records, rows, footer)
 
 
 # -- verify ---------------------------------------------------------------
@@ -403,20 +380,13 @@ def cmd_reps(cfg: argparse.Namespace) -> int:
         print(err, file=sys.stderr)
         return 1
     records = reps_records(n)
-    if cfg.fmt == "json":
-        text = _json_payload(
-            {"schema_version": SCHEMA_VERSION, "n": n, "records": records}, cfg
-        )
-    elif cfg.fmt == "text-table":
-        rows = [
-            ("index", list(range(len(records)))),
-            ("rank", [r["rank"] for r in records]),
-            ("lattice", [r["lattice_family"] for r in records]),
-        ]
-        text = _text_table(rows, cfg)
-    else:
-        text = _jsonl_payload("reps", records, cfg, n=n, count=len(records))
-    return _emit(text, cfg)
+    rows = [
+        ("index", list(range(len(records)))),
+        ("rank", [r["rank"] for r in records]),
+        ("lattice", [r["lattice_family"] for r in records]),
+    ]
+    payload = {"schema_version": SCHEMA_VERSION, "n": n, "records": records}
+    return _render(cfg, "reps", payload, records, rows, n=n)
 
 
 # -- entry points ---------------------------------------------------------

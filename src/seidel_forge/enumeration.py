@@ -221,7 +221,7 @@ def kn_witness(n: int) -> FamilyWitness:
     dim = n + 2
     last = RootVector.unit(n + 1, dim)
     vectors = tuple(RootVector.unit(i, dim) - last for i in range(n))
-    r = RootVector.unit(n, dim) - last
+    r = standard_switching_root(spec)
     if not generates(list(vectors) + [r], spec):
         raise RuntimeError(f"witness vectors fail to generate {spec.name}")
     graph = gram_to_graph(vectors)
@@ -245,7 +245,7 @@ def dst_witness(n: int, m: int) -> FamilyWitness:
     plus = [em + RootVector.unit(i, m) for i in range(m - 2)]
     minus = [em - RootVector.unit(i, m) for i in range(n - m + 2)]
     vectors = tuple(plus + minus)
-    r = RootVector.unit(m - 2, m) + em
+    r = standard_switching_root(spec)
     if not generates(list(vectors) + [r], spec):
         raise RuntimeError(f"witness vectors fail to generate {spec.name}")
     graph = gram_to_graph(vectors)
@@ -260,17 +260,6 @@ def construct_Dst_class(n: int, m: int) -> SwitchingClassKey:
 
 def _three_i_minus_s(G: Graph) -> IntMatrix:
     return IntMatrix.identity(G.n).scale(3).sub(seidel_of_graph(G))
-
-
-def _distinct_key_ranks(n: int) -> dict[SwitchingClassKey, int]:
-    """key -> rank(3I - S) over the distinct phi images of the n-transversal."""
-    out: dict[SwitchingClassKey, int] = {}
-    for subset in class_transversal(n):
-        G = phi_graph(subset)
-        key = canonical_key(G)
-        if key not in out:
-            out[key] = rank(_three_i_minus_s(G))
-    return out
 
 
 def _d_range(n: int) -> range:
@@ -304,7 +293,7 @@ def s_table(n_max: int = 28) -> STable:
     for n in range(n_max + 1):
         w = table.omega[n]
         if n <= 8:
-            ranks = _distinct_key_ranks(n)
+            ranks = {r["key_hex"]: r["rank"] for r in reps_records(n)}
             eig3 = sum(1 for rk in ranks.values() if rk < n)
             if n <= 7:
                 s.append(w)
@@ -365,7 +354,9 @@ def verify_fiber_n6() -> dict:
     The 10 orbit representatives must map to 9 distinct classes; the doubled
     class is [S(K_6)], its two witness lattices <u_1..u_6, r> are both rank-7
     discriminant-8 (hence A_7-isometric), and their orthogonal complements in
-    E_8 have minimal norms 2 and 8 in some order.
+    E_8 have rank 1, so each one's minimal norm is the norm of its single
+    basis vector: 2 and 8 in some order.  A complement of any other rank is
+    a failure.
     """
     ctx = e8_context()
     failures: list[str] = []
@@ -390,14 +381,16 @@ def verify_fiber_n6() -> dict:
         basis = [RootVector(row) for row in hnf([list(v.coords2) for v in vectors])]
         ranks.append(len(basis))
         discs.append(gram_determinant(basis))
-        _, norm = orth_complement_in_E8(vectors)
-        min_norms.append(norm)
-    norm_values = sorted(x for x in min_norms if x is not None)
+        complement = orth_complement_in_E8(vectors)
+        if len(complement) == 1:
+            min_norms.append(inner(complement[0], complement[0]))
+        else:
+            failures.append(f"complement of {list(subset)} has rank {len(complement)} != 1")
     if ranks != [7, 7]:
         failures.append(f"fiber lattice ranks {ranks} != [7, 7]")
     if discs != [8, 8]:
         failures.append(f"fiber lattice discriminants {discs} != [8, 8]")
-    if len(min_norms) != 2 or norm_values != [2, 8]:
+    if sorted(min_norms) != [2, 8]:
         failures.append(f"complement min norms {min_norms} != [2, 8]")
     return {
         "ok": not failures,
@@ -407,7 +400,7 @@ def verify_fiber_n6() -> dict:
         "fiber_subsets": [list(sub) for sub in fiber],
         "lattice_ranks": ranks,
         "lattice_discriminants": discs,
-        "complement_min_norms": norm_values,
+        "complement_min_norms": sorted(min_norms),
         "failures": failures,
     }
 

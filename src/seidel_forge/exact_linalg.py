@@ -1,7 +1,8 @@
 """Exact integer/rational linear algebra.
 
-Everything here is exact: ranks by fraction-free Bareiss elimination and
-positive semidefiniteness by rational LDL^T with symmetric pivoting.  No
+Everything here is exact: ranks, and the Gram determinants of
+`root_lattices`, from one fraction-free Bareiss elimination, and positive
+semidefiniteness by rational LDL^T with symmetric pivoting.  No
 floating point anywhere; Python's arbitrary-precision integers absorb the
 pivot growth (Bareiss pivots exceed 64 bits around order 15).
 """
@@ -59,13 +60,18 @@ class IntMatrix:
         return IntMatrix.from_rows([c * x for x in row] for row in self.rows)
 
 
-def rank(M: IntMatrix) -> int:
-    """Rank over the rationals by fraction-free Bareiss elimination."""
-    A = [list(row) for row in M.rows]
-    n = M.n
-    r = 0
+def _bareiss_pivots(rows) -> list[int]:
+    """Pivots of fraction-free Bareiss elimination of a square integer matrix.
+
+    There is one pivot per unit of rank.  At full rank the last pivot is the
+    determinant up to the sign of the row swaps.
+    """
+    A = [list(row) for row in rows]
+    n = len(A)
+    pivots: list[int] = []
     prev = 1
     for col in range(n):
+        r = len(pivots)
         pivot_row = next((i for i in range(r, n) if A[i][col] != 0), None)
         if pivot_row is None:
             continue
@@ -75,10 +81,13 @@ def rank(M: IntMatrix) -> int:
                 A[i][j] = (A[r][col] * A[i][j] - A[i][col] * A[r][j]) // prev
             A[i][col] = 0
         prev = A[r][col]
-        r += 1
-        if r == n:
-            break
-    return r
+        pivots.append(prev)
+    return pivots
+
+
+def rank(M: IntMatrix) -> int:
+    """Rank over the rationals: the number of Bareiss pivots."""
+    return len(_bareiss_pivots(M.rows))
 
 
 def is_psd(M: IntMatrix) -> bool:

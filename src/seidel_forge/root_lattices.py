@@ -4,14 +4,19 @@ Vectors carry doubled coordinates (coords2 = 2x the real coordinates) so the
 half-integer vectors of E_8 stay in plain integers; inner products divide the
 doubled dot product by 4 and assert integrality.  Ambient dimensions: n+1 for
 A_n, n for D_n, 8 for E_6/E_7/E_8 (the E lattices are slices of E_8).
+
+The lattice operations are exact: Hermite normal forms, Gram determinants
+through the Bareiss elimination shared with `exact_linalg`, and Z-bases of
+orthogonal complements in E_8.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+
+from .exact_linalg import _bareiss_pivots
 
 __all__ = [
     "RootVector",
@@ -322,28 +327,16 @@ def generates(vectors, spec: LatticeSpec) -> bool:
 
 
 def gram_determinant(vectors) -> int:
-    """Determinant of the Gram matrix of a linearly independent family."""
+    """Determinant of the Gram matrix of the vectors, 0 if they are dependent.
+
+    A Gram matrix is positive semidefinite, so at full rank its determinant
+    is the absolute value of the last Bareiss pivot.
+    """
     vecs = list(vectors)
-    G = [[inner(u, v) for v in vecs] for u in vecs]
-    # Bareiss determinant
-    n = len(G)
-    if n == 0:
-        return 1
-    prev = 1
-    sign = 1
-    for k in range(n - 1):
-        if G[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if G[i][k] != 0), None)
-            if piv is None:
-                return 0
-            G[k], G[piv] = G[piv], G[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                G[i][j] = (G[k][k] * G[i][j] - G[i][k] * G[k][j]) // prev
-            G[i][k] = 0
-        prev = G[k][k]
-    return sign * G[-1][-1]
+    pivots = _bareiss_pivots([[inner(u, v) for v in vecs] for u in vecs])
+    if len(pivots) < len(vecs):
+        return 0
+    return abs(pivots[-1]) if pivots else 1
 
 
 def classify_root_lattice(rank: int, disc: int) -> str:
@@ -351,31 +344,24 @@ def classify_root_lattice(rank: int, disc: int) -> str:
 
     (rank, disc) separates the ADE lattices except rank 3, where D_3 = A_3.
     """
-    if disc == rank + 1:
-        return f"A{rank}"
-    if disc == 4 and rank >= 4:
-        return f"D{rank}"
-    if (rank, disc) in ((6, 3), (7, 2), (8, 1)):
-        return f"E{rank}"
+    for family in "ADE":
+        try:
+            spec = LatticeSpec(family, rank)
+        except ValueError:
+            continue
+        if spec.discriminant == disc:
+            return spec.name
     raise ValueError(f"no irreducible root lattice has rank {rank}, discriminant {disc}")
 
 
-def _e8_basis() -> list[RootVector]:
-    """A Z-basis of E_8: the HNF basis of the span of all roots."""
-    return [RootVector(row) for row in lattice_hnf(LatticeSpec("E", 8))]
-
-
-def orth_complement_in_E8(generators):
-    """Basis and minimal norm of {v in E_8 : (v, g) = 0 for all generators}.
-
-    Returns (basis, min_norm); min_norm is None when the complement is {0}.
-    """
+def orth_complement_in_E8(generators) -> list[RootVector]:
+    """A Z-basis of {v in E_8 : (v, g) = 0 for all generators}; [] for {0}."""
     e8 = LatticeSpec("E", 8)
     gens = list(generators)
     for g in gens:
         if not in_lattice(g, e8):
             raise ValueError(f"vector {g.coords2} is not in E8")
-    B = _e8_basis()
+    B = [RootVector(row) for row in lattice_hnf(e8)]  # a Z-basis of E_8
     # constraint matrix: row i gives the pairings of basis vector i with gens
     M = [[inner(b, g) for g in gens] for b in B]
     k = len(gens)
@@ -389,64 +375,4 @@ def orth_complement_in_E8(generators):
         for c, b in zip(coeffs, B):
             v = v + b.scaled(c)
         basis.append(v)
-    if not basis:
-        return [], None
-    return basis, _min_norm(basis)
-
-
-def _min_norm(basis: list[RootVector]) -> int:
-    """Minimal norm of a nonzero vector in the integer span of the basis.
-
-    Bounded enumeration (Fincke-Pohst) on the rational LDL^T factorization of
-    the Gram matrix, with a doubling search radius; terminates because the
-    Gram matrix is positive definite.
-    """
-    n = len(basis)
-    G = [[Fraction(inner(u, v)) for v in basis] for u in basis]
-    # LDL^T: norm(x) = sum_i D[i] * (x_i + sum_{j>i} L[i][j] x_j)^2
-    D = [Fraction(0)] * n
-    L = [[Fraction(0)] * n for _ in range(n)]
-    A = [row[:] for row in G]
-    for i in range(n):
-        D[i] = A[i][i]
-        assert D[i] > 0, "Gram matrix must be positive definite"
-        for j in range(i + 1, n):
-            L[i][j] = A[i][j] / D[i]
-        for p in range(i + 1, n):
-            for q in range(i + 1, n):
-                A[p][q] -= D[i] * L[i][p] * L[i][q]
-    bound = 2
-    while True:
-        found: list[int] = []
-
-        def descend(i: int, coeffs: list[int], remaining: Fraction) -> None:
-            if i < 0:
-                if any(coeffs):
-                    norm = sum(
-                        ci * cj * G[a][b]
-                        for a, ci in enumerate(coeffs)
-                        for b, cj in enumerate(coeffs)
-                        if ci and cj
-                    )
-                    if norm > 0:
-                        found.append(int(norm))
-                return
-            center = -sum(L[i][j] * coeffs[j] for j in range(i + 1, n) if coeffs[j])
-            radius2 = remaining / D[i]
-            x = math.floor(center)
-            while (x - center) ** 2 <= radius2:
-                coeffs[i] = x
-                descend(i - 1, coeffs, remaining - D[i] * (x - center) ** 2)
-                x -= 1
-            x = math.floor(center) + 1
-            while (x - center) ** 2 <= radius2:
-                coeffs[i] = x
-                descend(i - 1, coeffs, remaining - D[i] * (x - center) ** 2)
-                x += 1
-            coeffs[i] = 0
-
-        descend(n - 1, [0] * n, Fraction(bound))
-        if found:
-            return min(found)
-        bound *= 2
-
+    return basis

@@ -1,4 +1,8 @@
-"""Session hooks: print a one-line ledger entry per acceptance criterion."""
+"""Session hooks: print a one-line ledger entry per acceptance criterion;
+share the E_8 transversal scan between the tests that compare against it."""
+from functools import lru_cache
+
+import pytest
 
 _registered: dict[str, str] = {}
 _outcomes: dict[str, str] = {}
@@ -30,3 +34,13 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         outcome = _outcomes.get(nodeid, "not run")
         flag = {"passed": "PASS", "failed": "FAIL"}.get(outcome, outcome.upper())
         terminalreporter.write_line(f"[{flag}] {desc}")
+
+
+@pytest.fixture(scope="session")
+def e8_scan():
+    """n -> subset_orbit_transversal of the E_8 image group, run at most once
+    per n in a session: it is the costliest scan in the suite."""
+    from seidel_forge.enumeration import e8_context
+    from seidel_forge.weyl_orbits import subset_orbit_transversal
+
+    return lru_cache(maxsize=None)(lambda n: subset_orbit_transversal(e8_context().image, n))

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from seidel_forge import enumeration
 from seidel_forge.canon import canonical_form_bits
 from seidel_forge.enumeration import (
     OmegaTable,
@@ -26,9 +27,9 @@ from seidel_forge.enumeration import (
     verify_fiber_n6,
 )
 from seidel_forge.exact_linalg import IntMatrix, max_eig_le, rank
-from seidel_forge.root_lattices import gram_to_graph
+from seidel_forge.root_lattices import RootVector, gram_to_graph
 from seidel_forge.seidel_core import Graph, canonical_key, seidel_of_graph, switch
-from seidel_forge.weyl_orbits import _compose, subset_orbit_transversal
+from seidel_forge.weyl_orbits import _compose
 
 
 def _rank_3i_minus_s(G):
@@ -118,14 +119,13 @@ class TestTransversalProperties:
         expected = omega_table().raw_orbit_counts[n] - (1 if n == 6 else 0)
         assert len(keys) == expected
 
-    def test_counts_match_burnside(self):
+    def test_counts_match_burnside(self, e8_scan):
         # the ladder is certified against c(n); the scan, which never reads
         # c(n), gives the same lists wherever it is feasible
         c = omega_table().raw_orbit_counts
         assert [len(class_transversal(n)) for n in range(29)] == list(c)
-        image = e8_context().image
         for n in list(range(9)) + list(range(20, 29)):
-            assert list(class_transversal(n)) == subset_orbit_transversal(image, n)
+            assert list(class_transversal(n)) == e8_scan(n)
 
     @pytest.mark.parametrize("n", range(9, 20))
     def test_representatives_are_orbit_minima(self, n):
@@ -295,6 +295,15 @@ class TestVerifiers:
         assert report["lattice_ranks"] == [7, 7]
         assert report["lattice_discriminants"] == [8, 8]
         assert report["complement_min_norms"] == [2, 8]
+
+    def test_fiber_complement_of_other_rank_fails(self, monkeypatch):
+        # the min norm is read off a single generator; rank 2 must fail cleanly
+        plane = [RootVector((2, 2, 0, 0, 0, 0, 0, 0)), RootVector((2, -2, 0, 0, 0, 0, 0, 0))]
+        monkeypatch.setattr(enumeration, "orth_complement_in_E8", lambda generators: plane)
+        report = verify_fiber_n6()
+        assert not report["ok"]
+        assert report["complement_min_norms"] == []
+        assert sum("has rank 2 != 1" in f for f in report["failures"]) == 2
 
     def test_cao_sampler(self):
         report = verify_cao(n_max=6, samples=120, seed=3)

@@ -269,6 +269,8 @@ class TestGramDeterminant:
         assert gram_determinant([]) == 1
         e8_basis = [RootVector(row) for row in lattice_hnf(E8)]
         assert gram_determinant(e8_basis) == 1
+        # a dependent family: e_1 - e_3 = (e_1 - e_2) + (e_2 - e_3)
+        assert gram_determinant(a2 + [_unit(0, 3) - _unit(2, 3)]) == 0
 
 
 class TestClassify:
@@ -297,26 +299,25 @@ class TestClassify:
 class TestOrthComplement:
     def test_standard_a7_leaves_roots(self):
         a7 = [_unit(i) - _unit(i + 1) for i in range(7)]
-        basis, min_norm = orth_complement_in_E8(a7)
+        basis = orth_complement_in_E8(a7)
         assert len(basis) == 1
-        assert min_norm == 2
+        assert inner(basis[0], basis[0]) == 2
 
     def test_twisted_a7_leaves_no_roots(self):
         # same abstract lattice, different embedding: complement has min norm 8
         a7p = [-(_unit(0)) - _unit(1)] + [_unit(i) - _unit(i + 1) for i in range(1, 7)]
-        basis, min_norm = orth_complement_in_E8(a7p)
+        basis = orth_complement_in_E8(a7p)
         assert len(basis) == 1
-        assert min_norm == 8
+        assert inner(basis[0], basis[0]) == 8
 
     def test_single_root_gives_e7(self):
-        basis, min_norm = orth_complement_in_E8([standard_switching_root(E8)])
+        basis = orth_complement_in_E8([standard_switching_root(E8)])
         assert len(basis) == 8 - 1
         assert gram_determinant(basis) == 2
-        assert min_norm == 2
 
     def test_full_lattice_gives_trivial_complement(self):
         gens = [RootVector(row) for row in lattice_hnf(E8)]
-        assert orth_complement_in_E8(gens) == ([], None)
+        assert orth_complement_in_E8(gens) == []
 
     def test_rejects_outside_vectors(self):
         with pytest.raises(ValueError):

@@ -410,9 +410,8 @@ class TestAgainstReference:
             assert subset_orbit_transversal(G, n) == reference_transversal(G, n)
 
     @pytest.mark.parametrize("n", list(range(7)) + list(range(22, 29)))
-    def test_e8_image(self, n):
-        G = e8_context().image
-        assert subset_orbit_transversal(G, n) == reference_transversal(G, n)
+    def test_e8_image(self, n, e8_scan):
+        assert e8_scan(n) == reference_transversal(e8_context().image, n)
 
 
 class TestOrderlyLemma:
