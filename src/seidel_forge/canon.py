@@ -2,18 +2,33 @@
 
 Individualization-refinement backtracking: equitable refinement of ordered
 partitions, branching on the first non-singleton cell, with orbit pruning
-from automorphisms discovered at equal leaves.  The canonical form is the
-lexicographically least packed upper triangle over all leaves of the
-(isomorphism-invariant) search tree, so two graphs are isomorphic iff their
-canonical forms coincide.
+from automorphisms.  The canonical form is the lexicographically least
+packed upper triangle over all leaves of the (isomorphism-invariant) search
+tree, so two graphs are isomorphic iff their canonical forms coincide.
 
-Orbit pruning keeps one union-find per search node.  Before it tries each
-vertex after the first, the node absorbs only the automorphisms found since
-its last test, and of those only the ones that fix the node's
-individualized vertices (a bitmask test against each automorphism's stored
-fixed points).  Since a union-find partition does not depend on the order of
-its unions, every test sees the orbits of all automorphisms known so far that
-fix the prefix.
+Refinement counts neighbours only into the active cells.  A cell of the
+previous round has constant counts into every cell that round did not
+split, so only the cells it split are active; and since the counts into the
+children of one split cell sum to the count into the cell, the last child
+stays inactive too.  Dropping columns that are constant within a cell changes
+neither how it splits nor the order of its pieces, so the result is the
+partition that counting into every cell gives.  After individualizing u the
+only active cell is {u}.
+
+Orbit pruning keeps, per search node, orbit[v] as the bitmask of v's orbit
+under the known automorphisms that fix the node's individualized vertices
+(tested against each automorphism's stored fixed points), and skips a vertex
+whose orbit meets the bitmask of those already tried.  Before each test the
+node absorbs only the automorphisms found since its last one, merging the
+orbits along their stored moved pairs.  The search starts from the
+transpositions of consecutive members of each twin class (vertices with
+equal neighbourhoods, open or closed).  A leaf equal to the best one gives
+an automorphism that fixes their paths down to the last node they share and
+maps the branch below it that holds the leaf onto the one that holds the
+best leaf, so the search goes straight back to that node (nauty jumps back
+the same way from a leaf equal to the first one).  Every automorphism used
+prunes only subtrees that are images of subtrees searched already, so the
+least form is the one the full tree gives.
 
 Adjacency is handled as per-vertex bitmasks throughout.
 """
@@ -28,36 +43,48 @@ def pack_bits(bits: int, nbits: int) -> bytes:
     return (bits << (8 * nbytes - nbits)).to_bytes(nbytes, "big") if nbytes else b""
 
 
-def _refine(adj: tuple[int, ...], cells: list[int]) -> list[int]:
+def _refine(
+    adj: tuple[int, ...], cells: list[int], active: list[int] | None = None
+) -> list[int]:
     """Equitable refinement of an ordered partition (cells as bitmasks).
 
     Repeatedly splits every non-singleton cell by the vector of neighbour
-    counts into all current cells, ordering sub-cells by count profile.  The
-    procedure is isomorphism-equivariant: it depends only on the partition
-    structure, never on vertex labels.
+    counts into the active cells (by default, at first, all of them),
+    ordering sub-cells by count profile.  The procedure is
+    isomorphism-equivariant: it depends only on the partition structure,
+    never on vertex labels.
     """
-    while True:
-        changed = False
+    if active is None:
+        active = cells
+    while active:
         new_cells: list[int] = []
+        new_active: list[int] = []
+        single = active[0] if len(active) == 1 else 0
         for cell in cells:
             if cell & (cell - 1) == 0:
                 new_cells.append(cell)
                 continue
-            groups: dict[tuple[int, ...], int] = {}
+            # with one active cell, as after individualizing, the count
+            # itself is the signature
+            groups: dict[int | tuple[int, ...], int] = {}
             v = cell
             while v:
                 low = v & (-v)
-                u = low.bit_length() - 1
+                row = adj[low.bit_length() - 1]
                 v ^= low
-                sig = tuple((adj[u] & other).bit_count() for other in cells)
+                if single:
+                    sig = (row & single).bit_count()
+                else:
+                    sig = tuple((row & other).bit_count() for other in active)
                 groups[sig] = groups.get(sig, 0) | low
-            if len(groups) > 1:
-                changed = True
-            for sig in sorted(groups):
-                new_cells.append(groups[sig])
-        if not changed:
-            return cells
-        cells = new_cells
+            if len(groups) == 1:
+                new_cells.append(cell)
+                continue
+            pieces = [groups[sig] for sig in sorted(groups)]
+            new_cells += pieces
+            new_active += pieces[:-1]
+        cells, active = new_cells, new_active
+    return cells
 
 
 def _packed_form(adj: tuple[int, ...], order: list[int]) -> int:
@@ -75,15 +102,46 @@ def _packed_form(adj: tuple[int, ...], order: list[int]) -> int:
     return bits
 
 
+def _twin_autos(adj: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Transpositions of consecutive members of each twin class: false twins
+    share adj[u], true twins share adj[u] | 1 << u."""
+    n = len(adj)
+    false_twins: dict[int, list[int]] = {}
+    true_twins: dict[int, list[int]] = {}
+    for v, row in enumerate(adj):
+        false_twins.setdefault(row, []).append(v)
+        true_twins.setdefault(row | 1 << v, []).append(v)
+    autos = []
+    for members in (*false_twins.values(), *true_twins.values()):
+        for a, b in zip(members, members[1:]):
+            g = list(range(n))
+            g[a], g[b] = b, a
+            autos.append(tuple(g))
+    return autos
+
+
 class _Canonizer:
     def __init__(self, adj: tuple[int, ...]):
         self.adj = adj
         self.n = len(adj)
         self.best: int | None = None
         self.best_order: list[int] | None = None
+        # the individualized vertices (as bits) from the root to the current
+        # node, and to the leaf that gave best
+        self.path: list[int] = []
+        self.best_path: list[int] = []
         self.autos: list[tuple[int, ...]] = []
-        # fixed[i] is the bitmask of the points that autos[i] fixes
+        # fixed[i] is the bitmask of the points that autos[i] fixes, moved[i]
+        # the pairs (w, autos[i][w]) of the points it moves
         self.fixed: list[int] = []
+        self.moved: list[list[tuple[int, int]]] = []
+        for g in _twin_autos(adj):
+            self._add_auto(g)
+
+    def _add_auto(self, g: tuple[int, ...]) -> None:
+        self.autos.append(g)
+        self.fixed.append(sum(1 << w for w in range(self.n) if g[w] == w))
+        self.moved.append([(w, x) for w, x in enumerate(g) if x != w])
 
     def run(self) -> tuple[int, list[int]]:
         if self.n == 0:
@@ -93,9 +151,10 @@ class _Canonizer:
         assert self.best is not None and self.best_order is not None
         return self.best, self.best_order
 
-    def _search(self, cells: list[int], prefix: int) -> None:
+    def _search(self, cells: list[int], prefix: int) -> int:
         """Search below the node whose individualized vertices are the bits
-        of prefix."""
+        of prefix; return the depth of the ancestor where the search goes on
+        (n when it goes on at the parent)."""
         target = next((k for k, c in enumerate(cells) if c & (c - 1)), None)
         if target is None:
             order = [c.bit_length() - 1 for c in cells]
@@ -103,53 +162,57 @@ class _Canonizer:
             if self.best is None or form < self.best:
                 self.best = form
                 self.best_order = order
+                self.best_path = self.path[:]
             elif form == self.best:
                 assert self.best_order is not None
                 # equal leaves witness an automorphism: send the vertex with
                 # label k in this leaf to the one with label k in the best leaf
                 g = [0] * self.n
-                fixed = 0
                 for k in range(self.n):
                     g[order[k]] = self.best_order[k]
-                    if order[k] == self.best_order[k]:
-                        fixed |= 1 << order[k]
-                self.autos.append(tuple(g))
-                self.fixed.append(fixed)
-            return
+                self._add_auto(tuple(g))
+                # it fixes the path down to the last node shared with the
+                # best leaf and maps this branch there onto the best leaf's
+                # branch, searched already: go on at that node
+                depth = 0
+                while self.path[depth] == self.best_path[depth]:
+                    depth += 1
+                return depth
+            return self.n
         cell = cells[target]
-        # union-find orbits of the known automorphisms that fix prefix; autos
-        # before index absorbed are already in it
-        parent = list(range(self.n))
+        # orbit bitmasks of the known automorphisms that fix prefix; autos
+        # before index absorbed are already in them
+        orbit: list[int] = []
         absorbed = 0
-        tried: list[int] = []
+        tried = 0
         v = cell
         while v:
             low = v & (-v)
-            u = low.bit_length() - 1
             v ^= low
             if tried:
+                if not orbit:
+                    orbit = [1 << w for w in range(self.n)]
                 for k in range(absorbed, len(self.autos)):
                     if self.fixed[k] & prefix == prefix:
-                        g = self.autos[k]
-                        for w in range(self.n):
-                            if g[w] != w:
-                                a, b = _find(parent, w), _find(parent, g[w])
-                                if a != b:
-                                    parent[a] = b
+                        for a, b in self.moved[k]:
+                            if not orbit[a] >> b & 1:
+                                merged = orbit[a] | orbit[b]
+                                m = merged
+                                while m:
+                                    bit = m & (-m)
+                                    orbit[bit.bit_length() - 1] = merged
+                                    m ^= bit
                 absorbed = len(self.autos)
-                root = _find(parent, u)
-                if any(_find(parent, t) == root for t in tried):
+                if orbit[low.bit_length() - 1] & tried:
                     continue
-            tried.append(u)
+            tried |= low
             child = cells[:target] + [low, cell ^ low] + cells[target + 1 :]
-            self._search(_refine(self.adj, child), prefix | low)
-
-
-def _find(parent: list[int], v: int) -> int:
-    while parent[v] != v:
-        parent[v] = parent[parent[v]]
-        v = parent[v]
-    return v
+            self.path.append(low)
+            resume = self._search(_refine(self.adj, child, [low]), prefix | low)
+            self.path.pop()
+            if resume < len(self.path):
+                return resume
+        return self.n
 
 
 def canonical_relabeling(adj: tuple[int, ...]) -> tuple[int, list[int]]:

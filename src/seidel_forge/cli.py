@@ -59,7 +59,6 @@ TABLE3_OMEGA = (
 
 
 def _path_error(path: str | None) -> str | None:
-    """Validate the output target before any long computation starts."""
     if path is None:
         return None
     parent = os.path.dirname(os.path.abspath(path))
@@ -73,6 +72,15 @@ def _path_error(path: str | None) -> str | None:
     elif not os.access(parent, os.W_OK):
         return f"output directory is not writable: {parent}"
     return None
+
+
+def _output_unwritable(cfg: argparse.Namespace) -> bool:
+    """Validate the output target before any long computation starts; print
+    why it cannot be written, if it cannot."""
+    err = _path_error(cfg.output_path)
+    if err:
+        print(err, file=sys.stderr)
+    return err is not None
 
 
 def _emit(text: str, cfg: argparse.Namespace) -> int:
@@ -118,9 +126,7 @@ def _render(cfg: argparse.Namespace, kind: str, payload: dict, records: list[dic
 
 
 def cmd_omega_table(cfg: argparse.Namespace) -> int:
-    err = _path_error(cfg.output_path)
-    if err:
-        print(err, file=sys.stderr)
+    if _output_unwritable(cfg):
         return 1
     table = omega_table()
     if cfg.check_paper:
@@ -164,9 +170,7 @@ def cmd_s_table(cfg: argparse.Namespace) -> int:
     if not 0 <= n_max <= 28:
         print("--n-max must be in 0..28", file=sys.stderr)
         return 2
-    err = _path_error(cfg.output_path)
-    if err:
-        print(err, file=sys.stderr)
+    if _output_unwritable(cfg):
         return 1
     table = s_table(n_max)
     if cfg.check_paper:
@@ -375,9 +379,7 @@ def cmd_reps(cfg: argparse.Namespace) -> int:
     if n is None or not 0 <= n <= 28:
         print("--n must be in 0..28", file=sys.stderr)
         return 2
-    err = _path_error(cfg.output_path)
-    if err:
-        print(err, file=sys.stderr)
+    if _output_unwritable(cfg):
         return 1
     records = reps_records(n)
     rows = [

@@ -165,6 +165,12 @@ def _class_vectors(subset) -> list[RootVector]:
     return [ctx.classes[i].u for i in idxs]
 
 
+def _witness_basis(subset) -> list[RootVector]:
+    """Hermite basis of the witness lattice <u_1..u_n, r> of the subset."""
+    vectors = _class_vectors(subset) + [e8_context().r]
+    return [RootVector(row) for row in hnf([list(v.coords2) for v in vectors])]
+
+
 def phi_graph(subset) -> Graph:
     """The graph on the subset's representatives; Gram matrix is A(G) + 2I."""
     return gram_to_graph(_class_vectors(subset))
@@ -358,7 +364,6 @@ def verify_fiber_n6() -> dict:
     basis vector: 2 and 8 in some order.  A complement of any other rank is
     a failure.
     """
-    ctx = e8_context()
     failures: list[str] = []
     reps = class_transversal(6)
     if len(reps) != 10:
@@ -377,11 +382,10 @@ def verify_fiber_n6() -> dict:
     fiber = doubled.get(k6_key, [])
     ranks, discs, min_norms = [], [], []
     for subset in fiber:
-        vectors = _class_vectors(subset) + [ctx.r]
-        basis = [RootVector(row) for row in hnf([list(v.coords2) for v in vectors])]
+        basis = _witness_basis(subset)
         ranks.append(len(basis))
         discs.append(gram_determinant(basis))
-        complement = orth_complement_in_E8(vectors)
+        complement = orth_complement_in_E8(basis)
         if len(complement) == 1:
             min_norms.append(inner(complement[0], complement[0]))
         else:
@@ -466,12 +470,10 @@ def s_table_json(table: STable) -> dict:
 def reps_records(n: int) -> list[dict]:
     """One record per orbit representative: subset, class key, rank, and the
     root-lattice type generated by the witness vectors with r."""
-    ctx = e8_context()
     out = []
     for subset in class_transversal(n):
         G = phi_graph(subset)
-        vectors = _class_vectors(subset) + [ctx.r]
-        basis = [RootVector(row) for row in hnf([list(v.coords2) for v in vectors])]
+        basis = _witness_basis(subset)
         family = classify_root_lattice(len(basis), gram_determinant(basis))
         out.append(
             {

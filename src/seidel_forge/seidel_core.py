@@ -253,13 +253,22 @@ def canonical_key(G: Graph) -> SwitchingClassKey:
     if n == 0:
         return SwitchingClassKey(0, b"")
     best = None
+    full = (1 << n) - 1
     seen: dict[tuple[int, ...], None] = {}
-    for v in range(n):
-        H = switch(G, G.neighbors(v)).delete_vertex(v)
-        if H.adj in seen:
+    for v, nv in enumerate(G.adj):
+        # H = G switched by N(v), which isolates v, with v deleted: each row
+        # flips across the cut and drops bit v
+        below = (1 << v) - 1
+        rows = []
+        for x, row in enumerate(G.adj):
+            if x != v:
+                row ^= full ^ nv if nv >> x & 1 else nv
+                rows.append(row & below | row >> 1 & ~below)
+        H = tuple(rows)
+        if H in seen:
             continue
-        seen[H.adj] = None
-        form = canonical_form_bits(H.adj)
+        seen[H] = None
+        form = canonical_form_bits(H)
         if best is None or form < best:
             best = form
     assert best is not None

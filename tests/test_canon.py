@@ -4,15 +4,18 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from seidel_forge import canon
 from seidel_forge.canon import (
     _Canonizer,
     _packed_form,
     _refine,
+    _twin_autos,
     canonical_form_bits,
     canonical_relabeling,
     pack_bits,
 )
-from seidel_forge.seidel_core import Graph, switch
+from seidel_forge.enumeration import class_transversal, phi_graph
+from seidel_forge.seidel_core import Graph, SwitchingClassKey, canonical_key, switch
 
 
 @st.composite
@@ -56,6 +59,21 @@ class TestCanonicalForm:
         H = Graph.from_triangle_bits(G.n, bits)
         assert canonical_form_bits(H.adj) == bits
 
+    @pytest.mark.parametrize(
+        "lengths", [(3, 4), (3, 5), (3, 3, 4), (4, 4, 5), (3, 4, 6)], ids=lambda ls: "+".join(f"C{m}" for m in ls)
+    )
+    def test_invariant_on_cycle_unions(self, lengths):
+        # the equitable partition is coarser than the orbits, so every
+        # branch the search skips must be an image of one it searched
+        G = _cycle_union(*lengths)
+        rng = random.Random(len(G.adj))
+        for H in (G, Graph(G.n, tuple(((1 << G.n) - 1) ^ (1 << v) ^ row for v, row in enumerate(G.adj)))):
+            form = canonical_form_bits(H.adj)
+            for _ in range(20):
+                perm = list(range(H.n))
+                rng.shuffle(perm)
+                assert canonical_form_bits(H.relabel(perm).adj) == form
+
     def test_separates_nonisomorphic(self):
         pairs = [
             (Graph.path(4), Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])),
@@ -85,22 +103,54 @@ class TestCanonicalForm:
             assert len(set(forms)) == {0: 1, 1: 1, 2: 2, 3: 4, 4: 11}[n]
 
 
+def reference_refine(adj, cells):
+    """Equitable refinement that recounts every vertex into every cell in
+    each round; the oracle for the active-cell refinement of _refine."""
+    while True:
+        changed = False
+        new_cells = []
+        for cell in cells:
+            if cell & (cell - 1) == 0:
+                new_cells.append(cell)
+                continue
+            groups = {}
+            v = cell
+            while v:
+                low = v & (-v)
+                u = low.bit_length() - 1
+                v ^= low
+                sig = tuple((adj[u] & other).bit_count() for other in cells)
+                groups[sig] = groups.get(sig, 0) | low
+            if len(groups) > 1:
+                changed = True
+            for sig in sorted(groups):
+                new_cells.append(groups[sig])
+        if not changed:
+            return cells
+        cells = new_cells
+
+
 class ReferenceCanonizer:
     """The search with orbit pruning that rebuilds the union-find of the
-    automorphisms fixing the prefix for every vertex it tries; the oracle
-    for _Canonizer, which must visit the same tree."""
+    automorphisms fixing the prefix for every vertex it tries, over the
+    full-recount refinement; the oracle for _Canonizer, which must visit the
+    same tree.  Pruned, it starts from the twin transpositions and, at a leaf
+    equal to the best one, goes back to their last common ancestor, as
+    _Canonizer does; unpruned, it does neither."""
 
-    def __init__(self, adj):
+    def __init__(self, adj, pruned=True):
         self.adj = adj
         self.n = len(adj)
+        self.pruned = pruned
         self.best = None
         self.best_order = None
-        self.autos = []
+        self.best_path = None
+        self.autos = _twin_autos(adj) if pruned else []
 
     def run(self):
         if self.n == 0:
             return 0, []
-        self._search(_refine(self.adj, [(1 << self.n) - 1]), [])
+        self._search(reference_refine(self.adj, [(1 << self.n) - 1]), [])
         return self.best, self.best_order
 
     @staticmethod
@@ -121,18 +171,22 @@ class ReferenceCanonizer:
         return parent
 
     def _search(self, cells, prefix):
+        """Search below the node with individualized vertices prefix (a
+        list); return the depth to go back to, or None."""
         target = next((k for k, c in enumerate(cells) if c & (c - 1)), None)
         if target is None:
             order = [c.bit_length() - 1 for c in cells]
             form = _packed_form(self.adj, order)
             if self.best is None or form < self.best:
-                self.best, self.best_order = form, order
+                self.best, self.best_order, self.best_path = form, order, prefix
             elif form == self.best:
                 g = [0] * self.n
                 for k in range(self.n):
                     g[order[k]] = self.best_order[k]
                 self.autos.append(tuple(g))
-            return
+                if self.pruned:
+                    return next(d for d, (a, b) in enumerate(zip(prefix, self.best_path)) if a != b)
+            return None
         cell = cells[target]
         tried = []
         v = cell
@@ -147,7 +201,10 @@ class ReferenceCanonizer:
                     continue
             tried.append(u)
             child = cells[:target] + [low, cell ^ low] + cells[target + 1 :]
-            self._search(_refine(self.adj, child), prefix + [u])
+            back = self._search(reference_refine(self.adj, child), prefix + [u])
+            if back is not None and back < len(prefix):
+                return back
+        return None
 
 
 def assert_matches_reference(adj):
@@ -163,6 +220,15 @@ def _disjoint_triangles(k):
     return Graph.from_edges(
         3 * k, [(3 * i + a, 3 * i + b) for i in range(k) for a, b in ((0, 1), (1, 2), (0, 2))]
     )
+
+
+def _cycle_union(*lengths):
+    # 2-regular, so refinement leaves one cell that holds several orbits
+    edges, off = [], 0
+    for m in lengths:
+        edges += [(off + i, off + (i + 1) % m) for i in range(m)]
+        off += m
+    return Graph.from_edges(off, edges)
 
 
 def _petersen():
@@ -182,12 +248,17 @@ _SYMMETRIC = {
     },
     **{f"C{n}": Graph.cycle(n) for n in range(3, 15)},
     **{f"{k}K3": _disjoint_triangles(k) for k in range(1, 5)},
+    **{
+        "+".join(f"C{m}" for m in lengths): _cycle_union(*lengths)
+        for lengths in ((3, 4), (3, 5), (4, 5), (3, 3, 4), (3, 4, 4), (3, 4, 5))
+    },
     "petersen": _petersen(),
 }
 
 
 class TestAgainstReference:
-    """(bits, order) and the automorphisms found equal the reference's."""
+    """(bits, order) and the automorphisms found equal the pruned
+    reference's."""
 
     @settings(max_examples=150, deadline=None)
     @given(graphs_with_permutation(max_n=10))
@@ -208,3 +279,85 @@ class TestAgainstReference:
         G = switch(Graph.complete(12), {v for v in range(12) if rng.random() < 0.5}).relabel(perm)
         for v in range(12):
             assert_matches_reference(switch(G, G.neighbors(v)).delete_vertex(v).adj)
+
+
+@st.composite
+def graphs_of_any_density(draw, max_n):
+    """Random graphs whose edge density is 1/2, 1/4 or 1/8, or one minus it,
+    so that refinement meets cells of every size."""
+    n = draw(st.integers(1, max_n))
+    m = n * (n - 1) // 2
+    bits = (1 << m) - 1
+    for _ in range(draw(st.integers(1, 3))):
+        bits &= draw(st.integers(0, (1 << m) - 1))
+    if draw(st.booleans()):
+        bits ^= (1 << m) - 1
+    return Graph.from_triangle_bits(n, bits)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs_of_any_density(max_n=12))
+def test_incremental_refine_after_individualizing(G):
+    # at the root all cells are active; after individualizing u only {u} is
+    full = (1 << G.n) - 1
+    root = _refine(G.adj, [full])
+    assert root == reference_refine(G.adj, [full])
+    target = next((k for k, c in enumerate(root) if c & (c - 1)), None)
+    if target is None:
+        return
+    cell = root[target]
+    for u in range(G.n):
+        if cell >> u & 1:
+            child = root[:target] + [1 << u, cell ^ 1 << u] + root[target + 1 :]
+            assert _refine(G.adj, child, [1 << u]) == reference_refine(G.adj, child)
+
+
+@pytest.mark.parametrize("family", [Graph.complete, Graph.empty])
+def test_twin_transpositions_leave_one_leaf(monkeypatch, family):
+    # every vertex of K_n or its complement is a twin of every other, so the
+    # seeds prune every branch but the first
+    leaves = []
+
+    def counting(adj, order):
+        leaves.append(order)
+        return _packed_form(adj, order)
+
+    monkeypatch.setattr(canon, "_packed_form", counting)
+    for n in range(8, 21):
+        leaves.clear()
+        _Canonizer(family(n).adj).run()
+        assert len(leaves) == 1, n
+
+
+def reference_key(G):
+    """canonical_key through validated Graphs for each H_v and the unpruned
+    reference search."""
+    graphs = {switch(G, G.neighbors(v)).delete_vertex(v).adj for v in range(G.n)}
+    forms = [ReferenceCanonizer(adj, pruned=False).run()[0] for adj in graphs]
+    return SwitchingClassKey(G.n, pack_bits(min(forms, default=0), G.n * (G.n - 1) // 2))
+
+
+def _switched_relabelled(G, rng):
+    perm = list(range(G.n))
+    rng.shuffle(perm)
+    return switch(G, {v for v in range(G.n) if rng.random() < 0.5}).relabel(perm)
+
+
+class TestKeyAgainstReference:
+    """canonical_key bytes equal those of the unpruned reference search."""
+
+    @pytest.mark.parametrize("n", range(8, 17))
+    def test_family_graphs_and_their_twins(self, n):
+        rng = random.Random(n)
+        for G in (Graph.complete(n), Graph.complete_minus_matching(n - n // 4, n // 4)):
+            twin = _switched_relabelled(G, rng)
+            key = reference_key(G)
+            assert canonical_key(G) == key
+            assert canonical_key(twin) == key
+            assert reference_key(twin) == key
+
+    @pytest.mark.parametrize("n", [6, 14, 21])
+    def test_orbit_representatives(self, n):
+        for subset in class_transversal(n):
+            G = phi_graph(subset)
+            assert canonical_key(G) == reference_key(G)

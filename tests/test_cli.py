@@ -241,6 +241,12 @@ class TestOutputPathHandling:
         assert code == 1
         assert "does not exist" in err
 
+    @pytest.mark.parametrize("argv", [["s-table", "--n-max", "99"], ["reps", "--n", "99"]])
+    def test_range_error_comes_before_the_path_error(self, capsys, argv):
+        code, _, err = run(capsys, *argv, "--output", "/nonexistent/x")
+        assert code == 2
+        assert "0..28" in err
+
     def test_path_is_directory(self, capsys, tmp_path):
         code, _, err = run(capsys, "omega-table", "-o", str(tmp_path))
         assert code == 1
