@@ -1,15 +1,15 @@
-"""Exact integer/rational linear algebra.
+"""Exact integer linear algebra.
 
 Everything here is exact: ranks, and the Gram determinants of
 `root_lattices`, from one fraction-free Bareiss elimination, and positive
-semidefiniteness by rational LDL^T with symmetric pivoting.  No
-floating point anywhere; Python's arbitrary-precision integers absorb the
-pivot growth (Bareiss pivots exceed 64 bits around order 15).
+semidefiniteness by fraction-free LDL^T with symmetric pivoting.  No
+floating point and no fractions anywhere; Python's arbitrary-precision
+integers absorb the pivot growth (Bareiss pivots exceed 64 bits around
+order 15).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 __all__ = [
     "IntMatrix",
@@ -91,14 +91,20 @@ def rank(M: IntMatrix) -> int:
 
 
 def is_psd(M: IntMatrix) -> bool:
-    """Positive semidefiniteness by rational LDL^T with symmetric pivoting.
+    """Positive semidefiniteness by fraction-free LDL^T with symmetric pivoting.
 
-    A negative pivot refutes PSD.  When every remaining diagonal entry is
-    zero, PSD forces the whole remaining block to vanish (2|a_ij| <=
+    Each step pivots on the largest remaining diagonal entry d and updates
+    the trailing block as A[i][j] = (d A[i][j] - A[i][k] A[k][j]) // prev,
+    prev the previous pivot.  Every entry is then the rational LDL^T entry
+    scaled by a positive leading principal minor (Sylvester's identity makes
+    the division exact), so pivot choices, signs and zeros are the rational
+    ones.  A negative pivot refutes PSD.  When every remaining diagonal entry
+    is zero, PSD forces the whole remaining block to vanish (2|a_ij| <=
     a_ii + a_jj), so any leftover off-diagonal entry refutes it too.
     """
     n = M.n
-    A = [[Fraction(x) for x in row] for row in M.rows]
+    A = [list(row) for row in M.rows]
+    prev = 1
     for k in range(n):
         p = max(range(k, n), key=lambda i: A[i][i])
         if A[p][p] < 0:
@@ -111,15 +117,14 @@ def is_psd(M: IntMatrix) -> bool:
             A[k], A[p] = A[p], A[k]
             for row in A:
                 row[k], row[p] = row[p], row[k]
-        d = A[k][k]
+        Ak = A[k]
+        d = Ak[k]
         for i in range(k + 1, n):
-            f = A[i][k] / d
-            if f:
-                Ai = A[i]
-                Ak = A[k]
-                for j in range(k + 1, n):
-                    Ai[j] -= f * Ak[j]
-            A[i][k] = Fraction(0)
+            Ai = A[i]
+            f = Ai[k]
+            for j in range(k + 1, n):
+                Ai[j] = (d * Ai[j] - f * Ak[j]) // prev
+        prev = d
     return True
 
 

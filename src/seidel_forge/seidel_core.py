@@ -138,16 +138,6 @@ class Graph:
         row = self.adj[v]
         return {j for j in range(self.n) if row >> j & 1}
 
-    def delete_vertex(self, v: int) -> "Graph":
-        keep = [u for u in range(self.n) if u != v]
-        adj = []
-        for u in keep:
-            row = 0
-            for k, w in enumerate(keep):
-                row |= (self.adj[u] >> w & 1) << k
-            adj.append(row)
-        return Graph(self.n - 1, tuple(adj))
-
     def relabel(self, perm) -> "Graph":
         """Graph with vertex v renamed to perm[v]."""
         adj = [0] * self.n

