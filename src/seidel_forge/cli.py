@@ -376,7 +376,7 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
 
 def cmd_reps(cfg: argparse.Namespace) -> int:
     n = cfg.n
-    if n is None or not 0 <= n <= 28:
+    if not 0 <= n <= 28:
         print("--n must be in 0..28", file=sys.stderr)
         return 2
     if _output_unwritable(cfg):

@@ -102,13 +102,13 @@ def _orderly_ladder(gens, adj, counts) -> tuple[tuple[tuple[int, ...], ...], ...
     """Least member of each orbit of n-subsets, n = 0..m, of the group gens
     generates on the vertices of the graph adj; counts[n] is the orbit count.
 
-    p(a, b) counts the w in T - {a, b} with {a, b, w} odd in adj; I(T), the
-    sorted multiset of the sorted rows of p, is an orbit invariant as every
-    generator keeps triple parity (checked first).  Level n's candidates
-    S + x, x > max S, hold every orbit's least member, as S lex-least makes
-    S - {max S} lex-least.  Grouped by I, or with the multiset of I over the
-    one-point extensions when I falls short, exactly counts[n] groups means
-    one orbit per group and its least candidate; else RuntimeError.
+    p(a, b) counts the w in T - {a, b} with {a, b, w} odd in adj.  The key of
+    T, the sorted (r_a, s_a) with r_a = sum_b p(a, b), s_a = sum_b p(a, b) r_b,
+    and the sorted c_y = sum_a p(y, a) over y outside T, sees only odd triples,
+    so every generator keeping triple parity (checked first) keeps it.  Level
+    n's candidates S + x, x > max S, hold every orbit's least member, as S
+    lex-least makes S - {max S} lex-least.  Exactly counts[n] keys means one
+    orbit per key and its least candidate; else RuntimeError at that n.
     """
     m = len(adj)
     # odd[a][b]: the w making {a, b, w} odd; bits a and b cancel, as adj has no loops
@@ -118,25 +118,22 @@ def _orderly_ladder(gens, adj, counts) -> tuple[tuple[tuple[int, ...], ...], ...
         if not all(odd[g[a]][g[b]] >> g[w] & 1 for a, b, w in triples):
             raise RuntimeError("a generator maps an odd triple to an even one")
 
-    def invariant(T) -> tuple:
+    def key(T) -> tuple:
         mask = sum(1 << v for v in T)
-        rows = (sorted((odd[a][b] & mask).bit_count() for b in T if b != a) for a in T)
-        return tuple(sorted(map(tuple, rows)))
-
-    def extended(T) -> tuple:
-        return invariant(T), tuple(sorted(invariant(T + (y,)) for y in range(m) if y not in T))
+        p = [[(odd[a][b] & mask).bit_count() for b in T] for a in T]
+        r = [sum(row) for row in p]
+        rs = sorted((ra, sum(q * rb for q, rb in zip(row, r))) for ra, row in zip(r, p))
+        c = sorted(sum((oy[a] & mask).bit_count() for a in T) for y, oy in enumerate(odd) if not mask >> y & 1)
+        return tuple(rs), tuple(c)
 
     levels = [((),)]
     for n in range(1, m + 1):
         candidates = [S + (x,) for S in levels[-1] for x in range(S[-1] + 1 if S else 0, m)]
-        for key in (invariant, extended):
-            least: dict[tuple, tuple[int, ...]] = {}
-            for T in candidates:  # in lexicographic order
-                least.setdefault(key(T), T)
-            if len(least) >= counts[n]:
-                break
+        least: dict[tuple, tuple[int, ...]] = {}
+        for T in candidates:  # in lexicographic order
+            least.setdefault(key(T), T)
         if len(least) != counts[n]:
-            raise RuntimeError(f"n = {n}: {len(least)} invariant classes != {counts[n]} orbits")
+            raise RuntimeError(f"n = {n}: {len(least)} key classes != {counts[n]} orbits")
         levels.append(tuple(least.values()))
     return tuple(levels)
 
@@ -265,7 +262,9 @@ def construct_Dst_class(n: int, m: int) -> SwitchingClassKey:
 
 
 def _three_i_minus_s(G: Graph) -> IntMatrix:
-    return IntMatrix.identity(G.n).scale(3).sub(seidel_of_graph(G))
+    """3I - S(G): 3 on the diagonal, 1 on edges and -1 on non-edges."""
+    return IntMatrix(tuple(
+        tuple(3 if i == j else 2 * (a >> j & 1) - 1 for j in range(G.n)) for i, a in enumerate(G.adj)))
 
 
 def _d_range(n: int) -> range:

@@ -130,5 +130,5 @@ def is_psd(M: IntMatrix) -> bool:
 
 def max_eig_le(M: IntMatrix, bound: int) -> bool:
     """True iff every eigenvalue of symmetric M is <= bound (exactly)."""
-    shifted = IntMatrix.identity(M.n).scale(bound).sub(M)
-    return is_psd(shifted)
+    return is_psd(IntMatrix(tuple(
+        tuple(bound * (i == j) - x for j, x in enumerate(row)) for i, row in enumerate(M.rows))))

@@ -28,6 +28,13 @@ class TestUsageErrors:
         code, _, _ = run(capsys, "frobnicate")
         assert code == 2
 
+    def test_reps_without_n(self, capsys):
+        # --n is required, so argparse rejects the call before cmd_reps runs
+        code, out, err = run(capsys, "reps", "--no-meta")
+        assert code == 2
+        assert out == ""
+        assert "usage:" in err and "--n" in err
+
     def test_bad_verify_only(self, capsys):
         code, _, _ = run(capsys, "verify", "--only", "bogus")
         assert code == 2

@@ -120,8 +120,9 @@ class TestTransversalProperties:
         assert len(keys) == expected
 
     def test_counts_match_burnside(self, e8_scan):
-        # the ladder is certified against c(n); the scan, which never reads
-        # c(n), gives the same lists wherever it is feasible
+        # the ladder's one key must give exactly c(n) groups at every n; the
+        # scan, which never reads c(n), gives the same lists wherever it is
+        # feasible
         c = omega_table().raw_orbit_counts
         assert [len(class_transversal(n)) for n in range(29)] == list(c)
         for n in list(range(9)) + list(range(20, 29)):
@@ -153,7 +154,7 @@ class TestOrderlyLadder:
             omega_table().raw_orbit_counts,
         )
 
-    @pytest.mark.parametrize("n,delta", [(6, 1), (10, -1), (10, 1), (14, 1)])
+    @pytest.mark.parametrize("n,delta", [(6, -1), (6, 1), (10, -1), (10, 1), (14, -1), (14, 1)])
     def test_orbit_count_off_by_one(self, n, delta):
         gens, adj, counts = self.inputs()
         bad = list(counts)
@@ -162,8 +163,8 @@ class TestOrderlyLadder:
             _orderly_ladder(gens, adj, bad)
 
     def test_generator_breaking_triple_parity(self):
-        # the transposition (0 1) is no automorphism of the two-graph, so I
-        # would not be an orbit invariant of the group it joins
+        # the transposition (0 1) is no automorphism of the two-graph, so the
+        # ladder's key would not be an orbit invariant of the group it joins
         gens, adj, counts = self.inputs()
         swap = (1, 0) + tuple(range(2, 28))
         with pytest.raises(RuntimeError, match="odd triple"):
@@ -193,6 +194,16 @@ class TestOmegaTable:
         c = omega_table().raw_orbit_counts
         for n in range(29):
             assert c[n] == c[28 - n]
+
+
+class TestThreeIMinusS:
+    def test_built_from_adjacency(self):
+        # one pass over G.adj gives the same matrix as 3I - S(G)
+        rng = random.Random(3)
+        for n in range(9):
+            G = Graph.from_triangle_bits(n, rng.getrandbits(n * (n - 1) // 2))
+            expected = IntMatrix.identity(n).scale(3).sub(seidel_of_graph(G))
+            assert enumeration._three_i_minus_s(G) == expected
 
 
 class TestFamilyWitnesses:
