@@ -1,8 +1,10 @@
 """Command-line front end: count tables, verification ledger, and exports.
 
 Exit codes: 0 success, 1 verification or IO failure, 2 usage error.
-Options are checked before any computation starts, so an out-of-range --n,
---n-max or --samples exits 2 at once.
+The parser declares, range-checks, defaults and dispatches every option, so
+a usage error (an unknown option, or --n, --n-max or --samples out of range)
+exits 2 with argparse's usage line before any computation starts.  An output
+path that cannot be written exits 1, also before any computation.
 """
 from __future__ import annotations
 
@@ -58,9 +60,12 @@ TABLE3_OMEGA = (
 )
 
 
-def _path_error(path: str | None) -> str | None:
+def _output_error(path: str | None) -> str | None:
+    """Why the output path cannot be written, or None if it can (or is stdout)."""
     if path is None:
         return None
+    if not path:
+        return "output path is empty"
     parent = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(parent):
         return f"output directory does not exist: {parent}"
@@ -74,33 +79,12 @@ def _path_error(path: str | None) -> str | None:
     return None
 
 
-def _output_unwritable(cfg: argparse.Namespace) -> bool:
-    """Validate the output target before any long computation starts; print
-    why it cannot be written, if it cannot."""
-    err = _path_error(cfg.output_path)
-    if err:
-        print(err, file=sys.stderr)
-    return err is not None
-
-
-def _emit(text: str, cfg: argparse.Namespace) -> int:
-    if cfg.output_path is None:
-        sys.stdout.write(text)
-        return 0
-    try:
-        with open(cfg.output_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        print(f"failed to write {cfg.output_path}: {exc}", file=sys.stderr)
-        return 1
-    return 0
-
-
 def _render(cfg: argparse.Namespace, kind: str, payload: dict, records: list[dict],
             rows: list[tuple[str, list]], footer: str = "", **header) -> int:
-    """Emit a command's output in the chosen format: payload as json; a header
-    line and one line per record as jsonl; rows as an aligned table with n
-    along the columns, then footer, as text-table."""
+    """Write a command's output, in the chosen format, to stdout or the output
+    file: payload as json; a header line and one line per record as jsonl;
+    rows as an aligned table with n along the columns, then footer, as
+    text-table.  A failed write raises OSError, which main reports."""
     stamp = None if cfg.no_meta else datetime.now(timezone.utc).isoformat(timespec="seconds")
     if cfg.fmt == "json":
         if stamp:
@@ -119,15 +103,18 @@ def _render(cfg: argparse.Namespace, kind: str, payload: dict, records: list[dic
             cells = " ".join(str(v).rjust(w) for v, w in zip(values, widths))
             lines.append(f"{label.ljust(label_w)} | {cells}")
         text = "\n".join(lines) + "\n" + footer
-    return _emit(text, cfg)
+    if cfg.output_path is None:
+        sys.stdout.write(text)
+    else:
+        with open(cfg.output_path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    return 0
 
 
 # -- omega-table ----------------------------------------------------------
 
 
 def cmd_omega_table(cfg: argparse.Namespace) -> int:
-    if _output_unwritable(cfg):
-        return 1
     table = omega_table()
     if cfg.check_paper:
         got = tuple(table.omega_at(n) for n in range(len(TABLE3_OMEGA)))
@@ -166,12 +153,7 @@ def _cor_sn_residual_errors(table) -> list[str]:
 
 
 def cmd_s_table(cfg: argparse.Namespace) -> int:
-    n_max = 13 if cfg.n_max is None else cfg.n_max
-    if not 0 <= n_max <= 28:
-        print("--n-max must be in 0..28", file=sys.stderr)
-        return 2
-    if _output_unwritable(cfg):
-        return 1
+    n_max = cfg.n_max
     table = s_table(n_max)
     if cfg.check_paper:
         upto = min(n_max, 13)
@@ -327,16 +309,15 @@ def _check_cor_sn(cfg: argparse.Namespace) -> tuple[list[str], str]:
 
 
 def _check_oracle(cfg: argparse.Namespace) -> tuple[list[str], str]:
-    n_max = 5 if cfg.n_max is None else cfg.n_max
-    table = s_table(n_max)
+    table = s_table(cfg.n_max)
     om = omega_table().omega
     problems = []
-    for n in range(n_max + 1):
+    for n in range(cfg.n_max + 1):
         got = brute_force_counts(n)
         want = (table.s[n], table.s_e[n], om[n])
         if got != want:
             problems.append(f"n = {n}: brute force {got} != pipeline {want}")
-    return problems, f"brute force agrees with the pipeline for n = 0..{n_max}"
+    return problems, f"brute force agrees with the pipeline for n = 0..{cfg.n_max}"
 
 
 _CHECKS = (
@@ -354,12 +335,6 @@ CHECK_NAMES = tuple(name for name, _ in _CHECKS)
 
 
 def cmd_verify(cfg: argparse.Namespace) -> int:
-    if cfg.n_max is not None and not 0 <= cfg.n_max <= 7:
-        print("--n-max must be in 0..7", file=sys.stderr)
-        return 2
-    if cfg.samples < 0:
-        print("--samples must be >= 0", file=sys.stderr)
-        return 2
     selected = [(n, f) for n, f in _CHECKS if cfg.only in (None, n)]
     all_ok = True
     width = max(len(n) for n, _ in selected)
@@ -376,11 +351,6 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
 
 def cmd_reps(cfg: argparse.Namespace) -> int:
     n = cfg.n
-    if not 0 <= n <= 28:
-        print("--n must be in 0..28", file=sys.stderr)
-        return 2
-    if _output_unwritable(cfg):
-        return 1
     records = reps_records(n)
     rows = [
         ("index", list(range(len(records)))),
@@ -394,13 +364,37 @@ def cmd_reps(cfg: argparse.Namespace) -> int:
 # -- entry points ---------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+def _int_in(lo: int, hi: int | None = None):
+    """argparse type: an int in lo..hi, or at least lo when hi is None."""
+
+    def checked(text: str) -> int:
+        value = int(text)
+        if value < lo or hi is not None and value > hi:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {lo}" if hi is None else f"must be in {lo}..{hi}"
+            )
+        return value
+
+    checked.__name__ = "int"  # argparse's "invalid int value" names the type
+    return checked
+
+
+def _output_options(fmt: str) -> argparse.ArgumentParser:
+    """--no-meta, --format and -o, built per command: parents share actions."""
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument(
         "--no-meta",
         action="store_true",
         help="omit the generated-at timestamp from the output",
     )
+    p.add_argument("--format", dest="fmt", choices=["json", "jsonl", "text-table"], default=fmt)
+    p.add_argument("-o", "--output", dest="output_path", help="write to this file instead of stdout")
+    return p
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    check_paper = argparse.ArgumentParser(add_help=False)
+    check_paper.add_argument("--check-paper", action="store_true", help="compare with the reference table; exit 1 on mismatch")
 
     parser = argparse.ArgumentParser(
         prog="seidel-forge",
@@ -411,51 +405,38 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "omega-table",
-        parents=[common],
+        parents=[check_paper, _output_options("text-table")],
         help="omega(0..28) and the raw subset-orbit counts c(0..28)",
     )
-    p.add_argument("--check-paper", action="store_true", help="compare with the reference table; exit 1 on mismatch")
-    p.add_argument("--format", dest="fmt", choices=["json", "jsonl", "text-table"], default="text-table")
-    p.add_argument("-o", "--output", dest="output_path")
+    p.set_defaults(run=cmd_omega_table)
 
     p = sub.add_parser(
         "s-table",
-        parents=[common],
+        parents=[check_paper, _output_options("text-table")],
         help="s(n) and s_e(n) for n = 0..n_max",
     )
-    p.add_argument("--n-max", dest="n_max", type=int, default=None, help="top row index (default 13)")
-    p.add_argument("--check-paper", action="store_true", help="compare with the reference table; exit 1 on mismatch")
-    p.add_argument("--format", dest="fmt", choices=["json", "jsonl", "text-table"], default="text-table")
-    p.add_argument("-o", "--output", dest="output_path")
+    p.add_argument("--n-max", dest="n_max", type=_int_in(0, 28), default=13, help="top row index, 0..28 (default 13)")
+    p.set_defaults(run=cmd_s_table)
 
     p = sub.add_parser(
         "verify",
-        parents=[common],
         help="run the named consistency checks and print a pass/fail ledger",
     )
     p.add_argument("--only", choices=CHECK_NAMES, default=None, help="run a single named check")
-    p.add_argument("--n-max", dest="n_max", type=int, default=None, help="brute-force depth for the oracle check (default 5, max 7)")
-    p.add_argument("--samples", type=int, default=500, help="random graphs for the thm:Cao check, >= 0")
+    p.add_argument("--n-max", dest="n_max", type=_int_in(0, 7), default=5, help="brute-force depth for the oracle check, 0..7 (default 5)")
+    p.add_argument("--samples", type=_int_in(0), default=500, help="random graphs for the thm:Cao check, >= 0")
     p.add_argument("--seed", type=int, default=0, help="random seed for the thm:Cao check")
+    p.set_defaults(run=cmd_verify)
 
     p = sub.add_parser(
         "reps",
-        parents=[common],
+        parents=[_output_options("jsonl")],
         help="orbit representatives at size n with keys, ranks, lattice types",
     )
-    p.add_argument("--n", type=int, required=True, help="subset size, 0..28")
-    p.add_argument("--format", dest="fmt", choices=["json", "jsonl", "text-table"], default="jsonl")
-    p.add_argument("-o", "--output", dest="output_path")
+    p.add_argument("--n", type=_int_in(0, 28), required=True, help="subset size, 0..28")
+    p.set_defaults(run=cmd_reps)
 
     return parser
-
-
-_DISPATCH = {
-    "omega-table": cmd_omega_table,
-    "s-table": cmd_s_table,
-    "verify": cmd_verify,
-    "reps": cmd_reps,
-}
 
 
 def main(argv=None) -> int:
@@ -463,8 +444,12 @@ def main(argv=None) -> int:
         ns = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    err = _output_error(getattr(ns, "output_path", None))
+    if err:
+        print(err, file=sys.stderr)
+        return 1
     try:
-        return _DISPATCH[ns.command](ns)
+        return ns.run(ns)
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 1

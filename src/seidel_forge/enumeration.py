@@ -36,7 +36,6 @@ from .seidel_core import (
     adjacency_matrix,
     canonical_key,
     cone,
-    graph_from_packed,
     seidel_of_graph,
     switching_class_representatives,
 )
@@ -215,6 +214,15 @@ class FamilyWitness:
     key: SwitchingClassKey
 
 
+def _witness(spec: LatticeSpec, vectors: tuple[RootVector, ...]) -> FamilyWitness:
+    """Witness of vectors that, with the standard switching root, generate spec."""
+    r = standard_switching_root(spec)
+    if not generates(list(vectors) + [r], spec):
+        raise RuntimeError(f"witness vectors fail to generate {spec.name}")
+    graph = gram_to_graph(vectors)
+    return FamilyWitness(spec, r, vectors, graph, canonical_key(graph))
+
+
 def kn_witness(n: int) -> FamilyWitness:
     """Witness for [S(K_n)] inside A_{n+1}: vectors e_i - e_{n+2} (i = 1..n)
     with switching root r = e_{n+1} - e_{n+2} (1-indexed coordinates)."""
@@ -224,11 +232,7 @@ def kn_witness(n: int) -> FamilyWitness:
     dim = n + 2
     last = RootVector.unit(n + 1, dim)
     vectors = tuple(RootVector.unit(i, dim) - last for i in range(n))
-    r = standard_switching_root(spec)
-    if not generates(list(vectors) + [r], spec):
-        raise RuntimeError(f"witness vectors fail to generate {spec.name}")
-    graph = gram_to_graph(vectors)
-    return FamilyWitness(spec, r, vectors, graph, canonical_key(graph))
+    return _witness(spec, vectors)
 
 
 def construct_Kn_class(n: int) -> SwitchingClassKey:
@@ -248,11 +252,7 @@ def dst_witness(n: int, m: int) -> FamilyWitness:
     plus = [em + RootVector.unit(i, m) for i in range(m - 2)]
     minus = [em - RootVector.unit(i, m) for i in range(n - m + 2)]
     vectors = tuple(plus + minus)
-    r = standard_switching_root(spec)
-    if not generates(list(vectors) + [r], spec):
-        raise RuntimeError(f"witness vectors fail to generate {spec.name}")
-    graph = gram_to_graph(vectors)
-    return FamilyWitness(spec, r, vectors, graph, canonical_key(graph))
+    return _witness(spec, vectors)
 
 
 def construct_Dst_class(n: int, m: int) -> SwitchingClassKey:
@@ -340,7 +340,7 @@ def brute_force_counts(n: int) -> tuple[int, int, int]:
         raise ValueError("brute force supports n <= 7 only")
     s = s_e = omega = 0
     for packed in switching_class_representatives(n):
-        G = graph_from_packed(n, packed)
+        G = Graph.from_triangle_bits(n, packed)
         S = seidel_of_graph(G)
         if not max_eig_le(S, 3):
             continue

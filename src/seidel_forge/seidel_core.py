@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import total_ordering
 from itertools import combinations
 
-from .canon import canonical_form_bits, pack_bits
+from .canon import _packed_form, canonical_form_bits, pack_bits
 from .exact_linalg import IntMatrix
 from .weyl_orbits import _orbit_minima
 
@@ -114,11 +114,7 @@ class Graph:
 
     def triangle_bits(self) -> int:
         """Packed upper-triangle bits, pair (0,1) most significant."""
-        bits = 0
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                bits = (bits << 1) | (self.adj[i] >> j & 1)
-        return bits
+        return _packed_form(self.adj, list(range(self.n)))
 
     def has_edge(self, i: int, j: int) -> bool:
         return bool(self.adj[i] >> j & 1)
@@ -267,17 +263,18 @@ def canonical_key(G: Graph) -> SwitchingClassKey:
 
 
 def _pair_permutation(t: list[int], n: int) -> list[int]:
-    """The permutation of pair bits (LSB-first pair_index) induced by the
+    """The permutation of pair bits (in triangle_bits order) induced by the
     vertex permutation t."""
-    perm = [0] * (n * (n - 1) // 2)
+    top = n * (n - 1) // 2 - 1
+    perm = [0] * (top + 1)
     for i, j in combinations(range(n), 2):
         a, b = sorted((t[i], t[j]))
-        perm[pair_index(i, j, n)] = pair_index(a, b, n)
+        perm[top - pair_index(i, j, n)] = top - pair_index(a, b, n)
     return perm
 
 
 def switching_class_representatives(n: int) -> list[int]:
-    """One packed graph (LSB-first pair bits) per switching class on n vertices.
+    """One graph per switching class on n vertices, as triangle_bits.
 
     Partitions all 2^(n(n-1)/2) graphs into orbits of the group generated by
     switching at vertex 0, the transposition (0 1) and the n-cycle (together
@@ -291,15 +288,5 @@ def switching_class_representatives(n: int) -> list[int]:
     swap = [1, 0] + list(range(2, n))
     cycle = [(v + 1) % n for v in range(n)]
     perms = [_pair_permutation(swap, n), _pair_permutation(cycle, n)]
-    switch0 = sum(1 << pair_index(0, v, n) for v in range(1, n))
+    switch0 = sum(1 << m - 1 - pair_index(0, v, n) for v in range(1, n))
     return _orbit_minima(range(1 << m), m, perms, [switch0], 1 << m)
-
-
-def graph_from_packed(n: int, packed: int) -> Graph:
-    """Graph from LSB-first packed pair bits (as used by the oracle scan)."""
-    adj = [0] * n
-    for i, j in combinations(range(n), 2):
-        if packed >> pair_index(i, j, n) & 1:
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-    return Graph(n, tuple(adj))

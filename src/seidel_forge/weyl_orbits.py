@@ -328,7 +328,6 @@ def induced_action_on_classes(Wr: PermGroup, classes) -> PermGroup:
             class_of_point[point_of[member.coords2]] = ci
     member_points = [point_of[cl.u.coords2] for cl in classes]
     gens = []
-    seen = set()
     for g in Wr.generators:
         img = []
         for pt in member_points:
@@ -338,10 +337,7 @@ def induced_action_on_classes(Wr: PermGroup, classes) -> PermGroup:
                     "stabilizer generator does not preserve the pair-class set"
                 )
             img.append(class_of_point[target])
-        t = tuple(img)
-        if t not in seen:
-            seen.add(t)
-            gens.append(t)
+        gens.append(img)
     return PermGroup(len(classes), gens)
 
 

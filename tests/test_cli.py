@@ -59,6 +59,13 @@ class TestUsageErrors:
         assert out == ""
         assert "--samples" in err
 
+    def test_verify_takes_no_output_options(self, capsys):
+        # verify prints a ledger, so --no-meta is not one of its options
+        code, out, err = run(capsys, "verify", "--only", "cor:sym", "--no-meta")
+        assert code == 2
+        assert out == ""
+        assert "usage:" in err
+
 
 class TestOmegaTable:
     def test_check_paper_passes(self, capsys):
@@ -159,6 +166,11 @@ class TestVerify:
         assert code == 0
         assert "n = 0..3" in out
 
+    def test_oracle_default_depth(self, capsys):
+        code, out, _ = run(capsys, "verify", "--only", "oracle")
+        assert code == 0
+        assert "n = 0..5" in out
+
     def test_oracle_depth_out_of_range(self, capsys):
         # a usage error, not a ledger FAIL
         code, out, err = run(capsys, "verify", "--only", "oracle", "--n-max", "8")
@@ -253,6 +265,23 @@ class TestOutputPathHandling:
         code, _, err = run(capsys, *argv, "--output", "/nonexistent/x")
         assert code == 2
         assert "0..28" in err
+
+    def test_empty_path_is_refused_before_any_computation(self, capsys, monkeypatch):
+        def fail():
+            raise AssertionError("computed before the path check")
+
+        monkeypatch.setattr(cli, "omega_table", fail)
+        code, out, err = run(capsys, "omega-table", "-o", "")
+        assert code == 1
+        assert out == ""
+        assert "empty" in err
+
+    def test_failed_write_exits_1(self, capsys, monkeypatch, tmp_path):
+        # a write that fails after the up-front check is reported, not raised
+        monkeypatch.setattr(cli, "_output_error", lambda path: None)
+        code, _, err = run(capsys, "reps", "--n", "1", "-o", str(tmp_path / "missing" / "x"))
+        assert code == 1
+        assert "io error" in err
 
     def test_path_is_directory(self, capsys, tmp_path):
         code, _, err = run(capsys, "omega-table", "-o", str(tmp_path))

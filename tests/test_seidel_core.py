@@ -13,7 +13,6 @@ from seidel_forge.seidel_core import (
     adjacency_matrix,
     canonical_key,
     cone,
-    graph_from_packed,
     pair_index,
     seidel_of_graph,
     switch,
@@ -23,8 +22,9 @@ from seidel_forge.weyl_orbits import _chunk_tables
 
 
 def reference_representatives(n: int) -> list[int]:
-    """Reference: close all 2^C(n,2) packed graphs under the n single-vertex
-    switchings and the n - 1 adjacent transpositions; no early stop."""
+    """Reference: close all 2^C(n,2) graphs, as triangle_bits, under the n
+    single-vertex switchings and the n - 1 adjacent transpositions; no early
+    stop."""
     m = n * (n - 1) // 2
     if n <= 1:
         return [0]
@@ -33,7 +33,7 @@ def reference_representatives(n: int) -> list[int]:
         mask = 0
         for u in range(n):
             if u != v:
-                mask |= 1 << pair_index(min(u, v), max(u, v), n)
+                mask |= 1 << m - 1 - pair_index(min(u, v), max(u, v), n)
         masks.append(mask)
     tables = []
     for v in range(n - 1):
@@ -43,7 +43,7 @@ def reference_representatives(n: int) -> list[int]:
         for i in range(n):
             for j in range(i + 1, n):
                 a, b = sorted((t[i], t[j]))
-                perm[pair_index(i, j, n)] = pair_index(a, b, n)
+                perm[m - 1 - pair_index(i, j, n)] = m - 1 - pair_index(a, b, n)
         tables.append(_chunk_tables(perm, m))
     visited = bytearray((1 << m) + 7 >> 3)
     reps = []
@@ -284,11 +284,6 @@ class TestCanonicalKey:
         monkeypatch.setattr(weyl_orbits, "_chunk_tables", fail)
         with pytest.raises(ValueError, match="bitmap"):
             switching_class_representatives(9)
-
-    def test_graph_from_packed_roundtrip(self):
-        for packed in switching_class_representatives(4):
-            G = graph_from_packed(4, packed)
-            assert isinstance(G, Graph) and G.n == 4
 
 
 class TestSwitchingClassKey:
