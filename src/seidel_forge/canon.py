@@ -34,7 +34,7 @@ Adjacency is handled as per-vertex bitmasks throughout.
 """
 from __future__ import annotations
 
-__all__ = ["canonical_form_bits", "canonical_relabeling", "pack_bits"]
+__all__ = ["canonical_form_bits", "pack_bits"]
 
 
 def pack_bits(bits: int, nbits: int) -> bytes:
@@ -213,15 +213,6 @@ class _Canonizer:
             if resume < len(self.path):
                 return resume
         return self.n
-
-
-def canonical_relabeling(adj: tuple[int, ...]) -> tuple[int, list[int]]:
-    """Canonical packed form and a relabeling order achieving it.
-
-    Returns (bits, order) where order[k] is the original vertex given new
-    label k and bits is the packed upper triangle of the relabeled graph.
-    """
-    return _Canonizer(adj).run()
 
 
 def canonical_form_bits(adj: tuple[int, ...]) -> int:

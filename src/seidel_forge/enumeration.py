@@ -2,8 +2,8 @@
 
 Ties everything together: the orderly ladder of orbit representatives of
 subsets of the 28 pair-classes of E_8, the map phi from those subsets to
-switching classes on n vertices, the one-class A- and D-family
-constructions, the omega / s / s_e count tables, the two-element fiber at
+switching classes on n vertices (it restricts the graph of the 28 classes to
+the subset), the one-class A- and D-family constructions, the omega / s / s_e count tables, the two-element fiber at
 n = 6, and independent brute-force and random-graph cross-checks.
 """
 from __future__ import annotations
@@ -71,12 +71,14 @@ SCHEMA_VERSION = 1
 @dataclass(frozen=True, eq=False)
 class E8Context:
     """The E_8 pipeline fixture: the switching root r, the 28 pair-classes,
-    and image, the group that the stabilizer of r in W(E_8) induces on them."""
+    image, the group that the stabilizer of r in W(E_8) induces on them, and
+    graph, the class graph: A + 2I is the representatives' Gram matrix."""
 
     spec: LatticeSpec
     r: RootVector
     classes: tuple[PairClass, ...]
     image: PermGroup
+    graph: Graph
 
 
 @lru_cache(maxsize=1)
@@ -94,7 +96,8 @@ def e8_context() -> E8Context:
         for v in roots(spec)
         if inner(v, r) == 0 and v.coords2 > (-v).coords2  # s_v = s_{-v}
     ]
-    return E8Context(spec, r, classes, PermGroup(len(classes), gens))
+    graph = gram_to_graph([c.u for c in classes])
+    return E8Context(spec, r, classes, PermGroup(len(classes), gens), graph)
 
 
 def _orderly_ladder(gens, adj, counts) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -140,7 +143,7 @@ def _orderly_ladder(gens, adj, counts) -> tuple[tuple[tuple[int, ...], ...], ...
 @lru_cache(maxsize=1)
 def _class_ladder() -> tuple[tuple[tuple[int, ...], ...], ...]:
     gens, counts = e8_context().image.generators, omega_table().raw_orbit_counts
-    return _orderly_ladder(gens, phi_graph(range(28)).adj, counts)
+    return _orderly_ladder(gens, e8_context().graph.adj, counts)
 
 
 def class_transversal(n: int) -> tuple[tuple[int, ...], ...]:
@@ -151,25 +154,28 @@ def class_transversal(n: int) -> tuple[tuple[int, ...], ...]:
     return _class_ladder()[n]
 
 
-def _class_vectors(subset) -> list[RootVector]:
-    ctx = e8_context()
+def _class_indices(subset) -> list[int]:
     idxs = sorted(subset)
     if len(set(idxs)) != len(idxs):
         raise ValueError("class indices must be distinct")
-    if idxs and not (0 <= idxs[0] and idxs[-1] < len(ctx.classes)):
+    if idxs and not (0 <= idxs[0] and idxs[-1] < 28):
         raise ValueError("class index out of range 0..27")
-    return [ctx.classes[i].u for i in idxs]
+    return idxs
 
 
 def _witness_basis(subset) -> list[RootVector]:
     """Hermite basis of the witness lattice <u_1..u_n, r> of the subset."""
-    vectors = _class_vectors(subset) + [e8_context().r]
+    ctx = e8_context()
+    vectors = [ctx.classes[i].u for i in _class_indices(subset)] + [ctx.r]
     return [RootVector(row) for row in hnf([list(v.coords2) for v in vectors])]
 
 
 def phi_graph(subset) -> Graph:
-    """The graph on the subset's representatives; Gram matrix is A(G) + 2I."""
-    return gram_to_graph(_class_vectors(subset))
+    """The class graph restricted to the subset, vertex k being its k-th
+    least class: the graph on its representatives, Gram matrix A(G) + 2I."""
+    idxs = _class_indices(subset)
+    adj = e8_context().graph.adj
+    return Graph(len(idxs), tuple(sum(1 << k for k, j in enumerate(idxs) if adj[i] >> j & 1) for i in idxs))
 
 
 def phi(subset) -> SwitchingClassKey:
@@ -286,10 +292,10 @@ def s_table(n_max: int = 28) -> STable:
     """Tables s(0..n_max) and s_e(0..n_max).
 
     For n <= 7 every class has rank(3I - S) <= 7, so s(n) = omega(n); the
-    eigenvalue-3 subcount comes from the orbit representatives.  For n >= 8
-    the classes of rank <= 7 (omega(n) of them) are joined by the K_n class
-    from A_{n+1} and one class per D_m in the feasible range; all of those
-    extras except K_n itself have eigenvalue exactly 3.
+    eigenvalue-3 subcount comes from the ranks of the representatives' graphs.
+    For n >= 8 the omega(n) classes of rank <= 7 < n, all with eigenvalue 3,
+    are joined by K_n from A_{n+1} (rank n) and one class per D_m in the
+    feasible range (rank m - 1), which has eigenvalue 3 exactly when m <= n.
     """
     if not 0 <= n_max <= 28:
         raise ValueError("n_max must be in 0..28")
@@ -297,35 +303,28 @@ def s_table(n_max: int = 28) -> STable:
     s, s_e, prov = [], [], []
     for n in range(n_max + 1):
         w = table.omega[n]
-        if n <= 8:
-            ranks = {r["key_hex"]: r["rank"] for r in reps_records(n)}
+        if n <= 7:
+            graphs = map(phi_graph, class_transversal(n))
+            ranks = {canonical_key(G): rank(_three_i_minus_s(G)) for G in graphs}
             eig3 = sum(1 for rk in ranks.values() if rk < n)
-            if n <= 7:
-                s.append(w)
-                s_e.append(eig3)
-                prov.append(
-                    f"omega({n}) = {w} classes of rank <= 7 (no others exist); "
-                    f"{eig3} of the {len(ranks)} distinct classes have eigenvalue 3"
-                )
-                continue
-            dm = _d_range(n)
-            s.append(w + 1 + len(dm))
+            s.append(w)
             s_e.append(eig3)
             prov.append(
-                f"omega({n}) = {w} rank<=7 classes ({eig3} with eigenvalue 3) "
-                f"+ K_{n} from A_{n + 1} + D_m for m in {dm.start}..{dm.stop - 1}; "
-                f"the extras have rank {n}, hence no eigenvalue 3"
+                f"omega({n}) = {w} classes of rank <= 7 (no others exist); "
+                f"{eig3} of the {len(ranks)} distinct classes have eigenvalue 3"
             )
+            continue
+        dm = _d_range(n)
+        s.append(w + 1 + len(dm))
+        s_e.append(w + len(range(dm.start, n + 1)))
+        if n == 8:
+            which, why = w, f"the extras have rank {n}, hence no eigenvalue 3"
         else:
-            dm_s = _d_range(n)
-            dm_e = range(dm_s.start, n + 1)
-            s.append(w + 1 + len(dm_s))
-            s_e.append(w + len(dm_e))
-            prov.append(
-                f"omega({n}) = {w} rank<=7 classes (all with eigenvalue 3) "
-                f"+ K_{n} from A_{n + 1} + D_m for m in {dm_s.start}..{dm_s.stop - 1}; "
-                f"eigenvalue-3 classes cap the D-range at m <= {n}"
-            )
+            which, why = "all", f"eigenvalue-3 classes cap the D-range at m <= {n}"
+        prov.append(
+            f"omega({n}) = {w} rank<=7 classes ({which} with eigenvalue 3) "
+            f"+ K_{n} from A_{n + 1} + D_m for m in {dm.start}..{dm.stop - 1}; {why}"
+        )
     return STable(tuple(s), tuple(s_e), tuple(prov))
 
 
@@ -340,12 +339,11 @@ def brute_force_counts(n: int) -> tuple[int, int, int]:
         raise ValueError("brute force supports n <= 7 only")
     s = s_e = omega = 0
     for packed in switching_class_representatives(n):
-        G = Graph.from_triangle_bits(n, packed)
-        S = seidel_of_graph(G)
-        if not max_eig_le(S, 3):
+        M = _three_i_minus_s(Graph.from_triangle_bits(n, packed))
+        if not is_psd(M):  # lambda_max(S) <= 3
             continue
         s += 1
-        rk = rank(_three_i_minus_s(G))
+        rk = rank(M)
         if rk < n:
             s_e += 1
         if rk <= 7:

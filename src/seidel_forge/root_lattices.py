@@ -12,7 +12,6 @@ orthogonal complements in E_8.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
@@ -66,9 +65,6 @@ class RootVector:
     def scaled(self, c: int) -> "RootVector":
         return RootVector(tuple(c * a for a in self.coords2))
 
-    def norm(self) -> int:
-        return inner(self, self)
-
 
 def inner(u: RootVector, v: RootVector) -> int:
     """Exact inner product; rejects pairs whose product is not integral."""
@@ -76,7 +72,7 @@ def inner(u: RootVector, v: RootVector) -> int:
         raise ValueError("dimension mismatch")
     d = sum(a * b for a, b in zip(u.coords2, v.coords2))
     if d % 4:
-        raise ValueError(f"non-integral inner product {Fraction(d, 4)}")
+        raise ValueError(f"non-integral inner product {d}/4")
     return d // 4
 
 

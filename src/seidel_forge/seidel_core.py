@@ -8,7 +8,6 @@ here is a total invariant: equal keys iff switching equivalent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import total_ordering
 from itertools import combinations
 
 from .canon import _packed_form, canonical_form_bits, pack_bits
@@ -116,9 +115,6 @@ class Graph:
         """Packed upper-triangle bits, pair (0,1) most significant."""
         return _packed_form(self.adj, list(range(self.n)))
 
-    def has_edge(self, i: int, j: int) -> bool:
-        return bool(self.adj[i] >> j & 1)
-
     def edges(self) -> list[tuple[int, int]]:
         return [
             (i, j)
@@ -126,13 +122,6 @@ class Graph:
             for j in range(i + 1, self.n)
             if self.adj[i] >> j & 1
         ]
-
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
-    def neighbors(self, v: int) -> set[int]:
-        row = self.adj[v]
-        return {j for j in range(self.n) if row >> j & 1}
 
     def relabel(self, perm) -> "Graph":
         """Graph with vertex v renamed to perm[v]."""
@@ -148,7 +137,6 @@ class Graph:
         return Graph(self.n, tuple(adj))
 
 
-@total_ordering
 @dataclass(frozen=True)
 class SwitchingClassKey:
     """Canonical identifier of a switching class.
@@ -168,23 +156,6 @@ class SwitchingClassKey:
     @property
     def hex(self) -> str:
         return self.to_bytes().hex()
-
-    @staticmethod
-    def from_hex(s: str) -> "SwitchingClassKey":
-        """Parse the hex form; ValueError unless it is a well-formed key."""
-        raw = bytes.fromhex(s)
-        if not raw or raw[0] > MAX_VERTICES:
-            raise ValueError(f"key must start with a vertex count in 0..{MAX_VERTICES}")
-        n, key = raw[0], raw[1:]
-        m = n * (n - 1) // 2
-        if len(key) != (m + 7) // 8:
-            raise ValueError(f"key on {n} vertices: expected {(m + 7) // 8} bytes, got {len(key)}")
-        if key and key[-1] & ((1 << (8 * len(key) - m)) - 1):
-            raise ValueError("padding bits after the last pair must be zero")
-        return SwitchingClassKey(n, key)
-
-    def __lt__(self, other: "SwitchingClassKey") -> bool:
-        return self.to_bytes() < other.to_bytes()
 
 
 def adjacency_matrix(G: Graph) -> IntMatrix:

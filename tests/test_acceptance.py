@@ -18,7 +18,7 @@ from seidel_forge.enumeration import (
     verify_fiber_n6,
 )
 from seidel_forge.exact_linalg import IntMatrix, max_eig_le, rank
-from seidel_forge.root_lattices import LatticeSpec, classify_root_lattice, roots
+from seidel_forge.root_lattices import LatticeSpec, classify_root_lattice, n_r, roots
 from seidel_forge.seidel_core import Graph, canonical_key, seidel_of_graph
 from seidel_forge.weyl_orbits import stabilizer_of_root, weyl_group_on_roots
 
@@ -110,7 +110,7 @@ def test_criterion_7_structural_constants():
     assert weyl.order() == 696729600
     assert stabilizer_of_root(weyl, r_index).order() == 2903040
     assert ctx.image.order() == 1451520
-    assert sum(len(c.members()) for c in ctx.classes) == 56
+    assert len(n_r(ctx.spec, ctx.r)) == 56
     assert len(ctx.classes) == 28
 
 

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from seidel_forge import cli
+from seidel_forge import cli, root_lattices
 from seidel_forge.cli import TABLE2_S, TABLE2_SE, TABLE3_OMEGA, main
 from seidel_forge.enumeration import e8_context
 from seidel_forge.weyl_orbits import PermGroup
@@ -64,7 +64,8 @@ class TestUsageErrors:
         code, out, err = run(capsys, "verify", "--only", "cor:sym", "--no-meta")
         assert code == 2
         assert out == ""
-        assert "usage:" in err
+        assert err.startswith("usage: seidel-forge verify ")
+        assert "unrecognized arguments: --no-meta" in err
 
 
 class TestOmegaTable:
@@ -211,6 +212,14 @@ class TestVerify:
         assert code == 1
         assert out.startswith("[FAIL] lem:A")
         assert "generate order 1451520" in out
+
+    def test_lem_a_counts_the_roots_it_is_given(self, capsys, monkeypatch):
+        # 28 classes of 2 members each would be 56 whatever n_r returned
+        monkeypatch.setattr(cli, "n_r", lambda spec, r: root_lattices.n_r(spec, r)[1:])
+        code, out, _ = run(capsys, "verify", "--only", "lem:A")
+        assert code == 1
+        assert out.startswith("[FAIL] lem:A")
+        assert "55 roots with (u, r) = 1 != 56" in out
 
 
 class TestReps:

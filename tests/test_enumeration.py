@@ -48,7 +48,7 @@ class TestE8Context:
     def test_image_from_reflections_fixing_r(self):
         # one involution of the 28 classes per reflection s_v, (v, r) = 0
         ctx = e8_context()
-        assert [f.name for f in dataclasses.fields(ctx)] == ["spec", "r", "classes", "image"]
+        assert [f.name for f in dataclasses.fields(ctx)] == ["spec", "r", "classes", "image", "graph"]
         gens = ctx.image.generators
         assert len(gens) == 63
         assert all(_compose(g, g) == tuple(range(28)) for g in gens)
@@ -74,19 +74,22 @@ class TestPhi:
 
     def test_class_choice_invariance(self):
         # replacing any representative u_i by its partner r - u_i lands in the
-        # same switching class: the graph changes only by a switching
+        # same switching class: the graph changes only by a switching.  The
+        # sizes cover the class graph's restriction to the empty set, the
+        # middle and the full set.
         ctx = e8_context()
         rng = random.Random(31)
-        for _ in range(50):
-            subset = tuple(sorted(rng.sample(range(28), 6)))
-            flip = {i for i in range(6) if rng.random() < 0.5}
-            vectors = [
-                (ctx.classes[c].partner if i in flip else ctx.classes[c].u)
-                for i, c in enumerate(subset)
-            ]
-            H = gram_to_graph(vectors)
-            assert H == switch(phi_graph(subset), flip)
-            assert canonical_key(H) == phi(subset)
+        for n, trials in ((0, 1), (1, 5), (2, 10), (6, 50), (14, 10), (27, 5), (28, 5)):
+            for _ in range(trials):
+                subset = tuple(sorted(rng.sample(range(28), n)))
+                flip = {i for i in range(n) if rng.random() < 0.5}
+                vectors = [
+                    (ctx.classes[c].partner if i in flip else ctx.classes[c].u)
+                    for i, c in enumerate(subset)
+                ]
+                H = gram_to_graph(vectors)
+                assert H == switch(phi_graph(subset), flip)
+                assert canonical_key(H) == phi(subset)
 
     def test_orbit_invariance(self):
         # phi is constant on orbits of the induced 28-point action

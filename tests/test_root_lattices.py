@@ -75,7 +75,7 @@ class TestRoots:
     def test_all_norm_two_and_in_lattice(self):
         for spec in (LatticeSpec("A", 3), LatticeSpec("D", 5), E8):
             for v in roots(spec):
-                assert v.norm() == 2
+                assert inner(v, v) == 2
                 assert in_lattice(v, spec)
 
     def test_sorted_deterministically(self):

@@ -81,9 +81,13 @@ def graph_and_subsets(draw, max_n=7, subsets=1):
 
 
 def checked_key(G):
-    """canonical_key(G), after checking that its hex form parses back to it."""
+    """canonical_key(G), after checking that it holds C(n, 2) pair bits, zero
+    padded to whole bytes, and that its hex form is n's byte and then them."""
     key = canonical_key(G)
-    assert SwitchingClassKey.from_hex(key.hex) == key
+    m = G.n * (G.n - 1) // 2
+    assert key.n == G.n and len(key.key) == (m + 7) // 8
+    assert not key.key or key.key[-1] & ((1 << 8 * len(key.key) - m) - 1) == 0
+    assert key.hex == bytes([G.n]).hex() + key.key.hex()
     return key
 
 
@@ -105,11 +109,6 @@ class TestGraph:
         assert Graph.complete_minus_matching(2, 1).edges() == [(0, 2), (1, 2)]
         with pytest.raises(ValueError):
             Graph.complete_minus_matching(2, 3)
-
-    def test_accessors(self):
-        G = Graph.from_edges(4, [(0, 1), (2, 3)])
-        assert G.has_edge(1, 0) and not G.has_edge(0, 2)
-        assert G.degree(0) == 1 and G.neighbors(3) == {2}
 
     @settings(max_examples=80, deadline=None)
     @given(graphs())
@@ -146,7 +145,7 @@ class TestSwitching:
     def test_example(self):
         H = switch(Graph.complete(3), {0})
         assert H.edges() == [(1, 2)]
-        assert H.degree(0) == 0
+        assert H.adj[0] == 0
 
     def test_rejects_bad_vertices(self):
         with pytest.raises(ValueError):
@@ -185,8 +184,8 @@ class TestCone:
     def test_structure(self):
         W = cone(Graph.cycle(5))
         assert W.n == 6
-        assert W.degree(5) == 5
-        assert all(W.degree(v) == 3 for v in range(5))
+        assert W.adj[5].bit_count() == 5
+        assert all(W.adj[v].bit_count() == 3 for v in range(5))
 
     def test_vertex_limit(self):
         cone(Graph.empty(31))
@@ -288,25 +287,5 @@ class TestCanonicalKey:
 
 class TestSwitchingClassKey:
     def test_serialization_roundtrip(self):
-        key = canonical_key(Graph.cycle(5))
-        assert SwitchingClassKey.from_hex(key.hex) == key
+        key = checked_key(Graph.cycle(5))
         assert key.to_bytes()[0] == 5
-
-    def test_ordering_by_vertex_count_first(self):
-        small = canonical_key(Graph.complete(3))
-        large = canonical_key(Graph.empty(4))
-        assert small < large
-
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "",  # no vertex count
-            "21",  # 33 vertices
-            "05",  # 5 vertices need 2 key bytes
-            "02ffff",  # 2 vertices need 1 key byte
-            "03e1",  # 3 pair bits, then a set padding bit
-        ],
-    )
-    def test_from_hex_rejects_malformed_keys(self, text):
-        with pytest.raises(ValueError):
-            SwitchingClassKey.from_hex(text)
