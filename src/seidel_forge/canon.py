@@ -30,6 +30,19 @@ the same way from a leaf equal to the first one).  Every automorphism used
 prunes only subtrees that are images of subtrees searched already, so the
 least form is the one the full tree gives.
 
+A search prunes by the fixed prefix of the leaf forms below a node.  The
+partition there is equitable, so each of its k leading singletons is
+adjacent to all or none of every later cell, and rows 0..k-1 of every leaf
+below are already known: the top k(2n - k - 1)/2 bits of its form.  When they
+exceed the same bits of the reference (the least leaf found so far, else the
+caller's bound), no leaf below can become best or give an automorphism, so
+the subtree is dropped as a losing leaf would be; an unbounded search finds
+the same leaves <= best and the same automorphisms as with no pruning.  A
+bound is the canonical form of another graph, so a leaf equal to it before
+any leaf of this search's own shows the two graphs isomorphic and the bound
+this graph's form too: the search ends there, and adds no automorphism,
+since the leaf's match belongs to the other graph.
+
 Adjacency is handled as per-vertex bitmasks throughout.
 """
 from __future__ import annotations
@@ -121,9 +134,10 @@ def _twin_autos(adj: tuple[int, ...]) -> list[tuple[int, ...]]:
 
 
 class _Canonizer:
-    def __init__(self, adj: tuple[int, ...]):
+    def __init__(self, adj: tuple[int, ...], bound: int | None = None):
         self.adj = adj
         self.n = len(adj)
+        self.bound = bound
         self.best: int | None = None
         self.best_order: list[int] | None = None
         # the individualized vertices (as bits) from the root to the current
@@ -143,27 +157,34 @@ class _Canonizer:
         self.fixed.append(sum(1 << w for w in range(self.n) if g[w] == w))
         self.moved.append([(w, x) for w, x in enumerate(g) if x != w])
 
-    def run(self) -> tuple[int, list[int]]:
-        if self.n == 0:
-            return 0, []
-        cells = _refine(self.adj, [(1 << self.n) - 1])
-        self._search(cells, 0)
-        assert self.best is not None and self.best_order is not None
+    def run(self) -> tuple[int | None, list[int] | None]:
+        """The least leaf form and its order; (None, None) when every leaf
+        form exceeds the bound."""
+        cells = _refine(self.adj, [(1 << self.n) - 1]) if self.n else []
+        self._search(cells, 0, 0, 0)
         return self.best, self.best_order
 
-    def _search(self, cells: list[int], prefix: int) -> int:
+    def _search(self, cells: list[int], prefix: int, rows: int, head: int) -> int:
         """Search below the node whose individualized vertices are the bits
-        of prefix; return the depth of the ancestor where the search goes on
-        (n when it goes on at the parent)."""
+        of prefix, where every leaf form below starts with the rows rows
+        packed in head; return the depth of the ancestor where the search goes on (n
+        when it goes on at the parent, -1 when the search ends)."""
         target = next((k for k, c in enumerate(cells) if c & (c - 1)), None)
+        ref = self.bound if self.best is None else self.best
         if target is None:
             order = [c.bit_length() - 1 for c in cells]
             form = _packed_form(self.adj, order)
-            if self.best is None or form < self.best:
+            if ref is None or form < ref:
                 self.best = form
                 self.best_order = order
                 self.best_path = self.path[:]
-            elif form == self.best:
+            elif form == ref:
+                if self.best is None:
+                    # equal to the bound: the canonical form of an
+                    # isomorphic graph, so this graph's form as well
+                    self.best = form
+                    self.best_order = order
+                    return -1
                 assert self.best_order is not None
                 # equal leaves witness an automorphism: send the vertex with
                 # label k in this leaf to the one with label k in the best leaf
@@ -179,6 +200,18 @@ class _Canonizer:
                     depth += 1
                 return depth
             return self.n
+        # the leading singletons' rows are fixed below this node: each is
+        # adjacent to all or none of every later cell
+        while rows < target:
+            row = self.adj[cells[rows].bit_length() - 1]
+            for later in cells[rows + 1 :]:
+                size = later.bit_count()
+                head = head << size | ((1 << size) - 1 if row & later else 0)
+            rows += 1
+        if ref is not None:
+            tail = (self.n - rows) * (self.n - rows - 1) // 2
+            if head > ref >> tail:
+                return self.n
         cell = cells[target]
         # orbit bitmasks of the known automorphisms that fix prefix; autos
         # before index absorbed are already in them
@@ -208,13 +241,21 @@ class _Canonizer:
             tried |= low
             child = cells[:target] + [low, cell ^ low] + cells[target + 1 :]
             self.path.append(low)
-            resume = self._search(_refine(self.adj, child, [low]), prefix | low)
+            resume = self._search(
+                _refine(self.adj, child, [low]), prefix | low, rows, head
+            )
             self.path.pop()
             if resume < len(self.path):
                 return resume
         return self.n
 
 
-def canonical_form_bits(adj: tuple[int, ...]) -> int:
-    """Canonical packed upper-triangle bits of the graph."""
-    return _Canonizer(adj).run()[0]
+def canonical_form_bits(adj: tuple[int, ...], bound: int | None = None) -> int | None:
+    """Canonical packed upper-triangle bits of the graph; with a bound, the
+    same when they are <= bound and None when they exceed it.
+
+    A leaf equal to the bound ends the search, so a bound must be the
+    canonical form of some graph or else no relabeling's packed form of this
+    one.
+    """
+    return _Canonizer(adj, bound).run()[0]

@@ -201,10 +201,14 @@ def canonical_key(G: Graph) -> SwitchingClassKey:
     """Canonical switching-class key of G.
 
     For each vertex v, switching by its neighbourhood isolates v; every graph
-    in the switching orbit of G having an isolated vertex arises this way.
-    The least packed form over all v -- with the isolated vertex pinned first,
-    where the packing is smallest -- is therefore a full invariant of the
-    switching class of G up to isomorphism.
+    in the switching class of G that has an isolated vertex arises this way.
+    H_v is that graph with v deleted, and the least canonical form over all
+    v is therefore a full invariant of the switching class of G up to
+    isomorphism.  The key packs it into C(n, 2) bits, whose leading n - 1
+    zeros are the row of the isolated vertex.
+
+    The least form so far bounds each later H_v's search, which drops every
+    subtree that cannot beat it and stops at a leaf equal to it.
     """
     n = G.n
     if n == 0:
@@ -225,8 +229,8 @@ def canonical_key(G: Graph) -> SwitchingClassKey:
         if H in seen:
             continue
         seen[H] = None
-        form = canonical_form_bits(H)
-        if best is None or form < best:
+        form = canonical_form_bits(H, best)
+        if form is not None:
             best = form
     assert best is not None
     m = n * (n - 1) // 2

@@ -267,7 +267,14 @@ _SYMMETRIC = {
 
 class TestAgainstReference:
     """(bits, order) and the automorphisms found equal the pruned
-    reference's."""
+    reference's.
+
+    With no bound, _Canonizer also drops each subtree whose fixed prefix
+    exceeds the best leaf's; the reference does not.  Every leaf there is
+    greater than the best, which no leaf of the subtree lowers, so walking
+    it sets no best, finds no automorphism and jumps back nowhere, and both
+    searches end in the same state.
+    """
 
     @settings(max_examples=150, deadline=None)
     @given(graphs_with_permutation(max_n=10))
@@ -338,12 +345,104 @@ def test_twin_transpositions_leave_one_leaf(monkeypatch, family):
         assert len(leaves) == 1, n
 
 
-def reference_key(G):
-    """canonical_key through validated Graphs for each H_v and the unpruned
-    reference search."""
+class TestBound:
+    """canonical_form_bits(adj, bound) is the form f when f <= bound and None
+    when f > bound."""
+
+    @staticmethod
+    def _relabels_to(adj, bound, form):
+        """Whether bound packs a relabeling of the graph other than its
+        canonical one, which a leaf equal to it would be taken for."""
+        n = len(adj)
+        return (
+            bound != form
+            and 0 <= bound < 1 << n * (n - 1) // 2
+            and canonical_form_bits(Graph.from_triangle_bits(n, bound).adj) == form
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs_with_permutation(max_n=10), st.data())
+    def test_form_or_none(self, gp, data):
+        G, perm = gp
+        for adj in (G.adj, G.relabel(perm).adj):
+            form = canonical_form_bits(adj)
+            drawn = data.draw(st.integers(-1, 1 << G.n * (G.n - 1) // 2))
+            for bound in (form - 1, form, form + 1, drawn):
+                if self._relabels_to(adj, bound, form):
+                    continue
+                expected = form if form <= bound else None
+                assert canonical_form_bits(adj, bound) == expected, bound
+
+    def test_bound_zero(self):
+        for G in (Graph.path(4), Graph.cycle(7), Graph.complete(9), _petersen()):
+            assert canonical_form_bits(G.adj) > 0
+            assert canonical_form_bits(G.adj, 0) is None
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_trivial_sizes(self, n):
+        adj = Graph.empty(n).adj
+        assert canonical_form_bits(adj, -1) is None
+        assert canonical_form_bits(adj, 0) == 0
+        assert canonical_form_bits(adj, 1) == 0
+
+
+def least_form_key(G, form):
+    """The key of the least form(H_v) over the distinct H_v, each built
+    through validated Graphs."""
     graphs = {delete_vertex(switch(G, neighbours(G, v)), v).adj for v in range(G.n)}
-    forms = [ReferenceCanonizer(adj, pruned=False).run()[0] for adj in graphs]
-    return SwitchingClassKey(G.n, pack_bits(min(forms, default=0), G.n * (G.n - 1) // 2))
+    least = min(map(form, graphs), default=0)
+    return SwitchingClassKey(G.n, pack_bits(least, G.n * (G.n - 1) // 2))
+
+
+def unbounded_key(G):
+    """canonical_key with each H_v searched with no bound."""
+    return least_form_key(G, canonical_form_bits)
+
+
+def _high_representatives():
+    return [phi_graph(subset) for n in range(20, 29) for subset in class_transversal(n)]
+
+
+class TestBoundedKey:
+    """canonical_key, whose running least form bounds each later H_v, equals
+    the key of unbounded searches where the bound prunes the most."""
+
+    def test_high_orbit_representatives(self):
+        graphs = _high_representatives()
+        assert len(graphs) == 62
+        for G in graphs:
+            assert canonical_key(G) == unbounded_key(G)
+
+    @pytest.mark.parametrize(
+        "G", [Graph.complete(28), Graph.complete_minus_matching(21, 7)], ids=["K28", "K28-7K2"]
+    )
+    def test_family_graphs_and_their_twins(self, G):
+        key = unbounded_key(G)
+        assert canonical_key(G) == key
+        twin = _switched_relabelled(G, random.Random(28))
+        assert canonical_key(twin) == key
+        assert unbounded_key(twin) == key
+
+    def test_leaf_count(self, monkeypatch):
+        # 1,079 leaves when this guard was set, 5,254 with every H_v
+        # searched from nothing
+        graphs = _high_representatives()
+        leaves = 0
+
+        def counting(adj, order):
+            nonlocal leaves
+            leaves += 1
+            return _packed_form(adj, order)
+
+        monkeypatch.setattr(canon, "_packed_form", counting)
+        for G in graphs:
+            canonical_key(G)
+        assert leaves <= 1200
+
+
+def reference_key(G):
+    """canonical_key with each H_v searched by the unpruned reference."""
+    return least_form_key(G, lambda adj: ReferenceCanonizer(adj, pruned=False).run()[0])
 
 
 def _switched_relabelled(G, rng):
