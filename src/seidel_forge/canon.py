@@ -43,6 +43,12 @@ any leaf of this search's own shows the two graphs isomorphic and the bound
 this graph's form too: the search ends there, and adds no automorphism,
 since the leaf's match belongs to the other graph.
 
+With the form, a search hands back the order of the leaf that gives it and
+every automorphism it knew: the twin transpositions and those from equal
+leaves.  canonical_key (in seidel_core) extends them to automorphisms of the
+two-graph it keys and skips every H_v they show isomorphic to one searched
+already.
+
 Adjacency is handled as per-vertex bitmasks throughout.
 """
 from __future__ import annotations
@@ -133,6 +139,19 @@ def _twin_autos(adj: tuple[int, ...]) -> list[tuple[int, ...]]:
     return autos
 
 
+def _merge_orbits(orbit: list[int], pairs) -> None:
+    """Join the orbits of the two points of each pair; orbit[w] is the
+    bitmask of w's orbit."""
+    for a, b in pairs:
+        if not orbit[a] >> b & 1:
+            merged = orbit[a] | orbit[b]
+            m = merged
+            while m:
+                bit = m & (-m)
+                orbit[bit.bit_length() - 1] = merged
+                m ^= bit
+
+
 class _Canonizer:
     def __init__(self, adj: tuple[int, ...], bound: int | None = None):
         self.adj = adj
@@ -157,12 +176,12 @@ class _Canonizer:
         self.fixed.append(sum(1 << w for w in range(self.n) if g[w] == w))
         self.moved.append([(w, x) for w, x in enumerate(g) if x != w])
 
-    def run(self) -> tuple[int | None, list[int] | None]:
-        """The least leaf form and its order; (None, None) when every leaf
-        form exceeds the bound."""
+    def run(self) -> tuple[int | None, list[int] | None, list[tuple[int, ...]]]:
+        """The least leaf form, its order and the automorphisms found; form
+        and order are None when every leaf form exceeds the bound."""
         cells = _refine(self.adj, [(1 << self.n) - 1]) if self.n else []
         self._search(cells, 0, 0, 0)
-        return self.best, self.best_order
+        return self.best, self.best_order, self.autos
 
     def _search(self, cells: list[int], prefix: int, rows: int, head: int) -> int:
         """Search below the node whose individualized vertices are the bits
@@ -227,14 +246,7 @@ class _Canonizer:
                     orbit = [1 << w for w in range(self.n)]
                 for k in range(absorbed, len(self.autos)):
                     if self.fixed[k] & prefix == prefix:
-                        for a, b in self.moved[k]:
-                            if not orbit[a] >> b & 1:
-                                merged = orbit[a] | orbit[b]
-                                m = merged
-                                while m:
-                                    bit = m & (-m)
-                                    orbit[bit.bit_length() - 1] = merged
-                                    m ^= bit
+                        _merge_orbits(orbit, self.moved[k])
                 absorbed = len(self.autos)
                 if orbit[low.bit_length() - 1] & tried:
                     continue
@@ -250,12 +262,16 @@ class _Canonizer:
         return self.n
 
 
-def canonical_form_bits(adj: tuple[int, ...], bound: int | None = None) -> int | None:
-    """Canonical packed upper-triangle bits of the graph; with a bound, the
-    same when they are <= bound and None when they exceed it.
+def canonical_form_bits(
+    adj: tuple[int, ...], bound: int | None = None
+) -> tuple[int | None, list[int] | None, list[tuple[int, ...]]]:
+    """(form, order, autos): the canonical packed upper-triangle bits of the
+    graph, the vertex order that packs to them (order[k] receives label k)
+    and automorphisms of the graph found on the way; with a bound, form and
+    order are None when the form exceeds it.
 
     A leaf equal to the bound ends the search, so a bound must be the
     canonical form of some graph or else no relabeling's packed form of this
-    one.
+    one; the order returned then packs to the bound.
     """
-    return _Canonizer(adj, bound).run()[0]
+    return _Canonizer(adj, bound).run()

@@ -104,13 +104,16 @@ def _orderly_ladder(gens, adj, counts) -> tuple[tuple[tuple[int, ...], ...], ...
     """Least member of each orbit of n-subsets, n = 0..m, of the group gens
     generates on the vertices of the graph adj; counts[n] is the orbit count.
 
-    p(a, b) counts the w in T - {a, b} with {a, b, w} odd in adj.  The key of
-    T, the sorted (r_a, s_a) with r_a = sum_b p(a, b), s_a = sum_b p(a, b) r_b,
-    and the sorted c_y = sum_a p(y, a) over y outside T, sees only odd triples,
-    so every generator keeping triple parity (checked first) keeps it.  Level
-    n's candidates S + x, x > max S, hold every orbit's least member, as S
-    lex-least makes S - {max S} lex-least.  Exactly counts[n] keys means one
-    orbit per key and its least candidate; else RuntimeError at that n.
+    p(a, b) counts the w in T - {a, b} with {a, b, w} odd in adj, and R[v]
+    = sum_{a in T} p(v, a) the ordered pairs (a, w) in T with {v, a, w} odd.
+    The key of T, the sorted (r_a, s_a) with r_a = R[a], s_a = sum_b p(a, b)
+    r_b over a in T, and the sorted c_y = R[y] over y outside T, sees only
+    odd triples, so every generator keeping triple parity (checked first)
+    keeps it.  Level n's candidates S + x, x > max S, hold every orbit's
+    least member, as S lex-least makes S - {max S} lex-least; R of S + x is R
+    of S plus twice the count of {v, x, a} odd over a in S.  Exactly
+    counts[n] keys means one orbit per key and its least candidate; else
+    RuntimeError at that n.
     """
     m = len(adj)
     # odd[a][b]: the w making {a, b, w} odd; bits a and b cancel, as adj has no loops
@@ -120,23 +123,22 @@ def _orderly_ladder(gens, adj, counts) -> tuple[tuple[tuple[int, ...], ...], ...
         if not all(odd[g[a]][g[b]] >> g[w] & 1 for a, b, w in triples):
             raise RuntimeError("a generator maps an odd triple to an even one")
 
-    def key(T) -> tuple:
-        mask = sum(1 << v for v in T)
-        p = [[(odd[a][b] & mask).bit_count() for b in T] for a in T]
-        r = [sum(row) for row in p]
-        rs = sorted((ra, sum(q * rb for q, rb in zip(row, r))) for ra, row in zip(r, p))
-        c = sorted(sum((oy[a] & mask).bit_count() for a in T) for y, oy in enumerate(odd) if not mask >> y & 1)
-        return tuple(rs), tuple(c)
-
     levels = [((),)]
+    vectors = [[0] * m]  # R of each member of the last level
     for n in range(1, m + 1):
-        candidates = [S + (x,) for S in levels[-1] for x in range(S[-1] + 1 if S else 0, m)]
-        least: dict[tuple, tuple[int, ...]] = {}
-        for T in candidates:  # in lexicographic order
-            least.setdefault(key(T), T)
+        least: dict[tuple, tuple[tuple[int, ...], list[int]]] = {}
+        for S, R_S in zip(levels[-1], vectors):  # candidates in lexicographic order
+            mask_S = sum(1 << v for v in S)
+            for x in range(S[-1] + 1 if S else 0, m):
+                T, mask = S + (x,), mask_S | 1 << x
+                R = [rv + 2 * (ox & mask_S).bit_count() for rv, ox in zip(R_S, odd[x])]
+                rs = sorted((R[a], sum((odd[a][b] & mask).bit_count() * R[b] for b in T)) for a in T)
+                c = sorted(R[y] for y in range(m) if not mask >> y & 1)
+                least.setdefault((tuple(rs), tuple(c)), (T, R))
         if len(least) != counts[n]:
             raise RuntimeError(f"n = {n}: {len(least)} key classes != {counts[n]} orbits")
-        levels.append(tuple(least.values()))
+        levels.append(tuple(T for T, _ in least.values()))
+        vectors = [R for _, R in least.values()]
     return tuple(levels)
 
 

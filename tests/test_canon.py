@@ -4,9 +4,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seidel_forge import canon
+from seidel_forge import canon, seidel_core
 from seidel_forge.canon import (
-    _Canonizer,
     _packed_form,
     _refine,
     _twin_autos,
@@ -49,13 +48,13 @@ class TestCanonicalForm:
     @given(graphs_with_permutation())
     def test_invariant_under_relabeling(self, gp):
         G, perm = gp
-        assert canonical_form_bits(G.adj) == canonical_form_bits(G.relabel(perm).adj)
+        assert canonical_form_bits(G.adj)[0] == canonical_form_bits(G.relabel(perm).adj)[0]
 
     @settings(max_examples=80, deadline=None)
     @given(graphs_with_permutation(max_n=6))
     def test_relabeling_achieves_the_form(self, gp):
         G, _ = gp
-        bits, order = _Canonizer(G.adj).run()
+        bits, order, _ = canonical_form_bits(G.adj)
         inverse = [0] * G.n
         for new, old in enumerate(order):
             inverse[old] = new
@@ -65,9 +64,9 @@ class TestCanonicalForm:
     @given(graphs_with_permutation(max_n=6))
     def test_idempotent(self, gp):
         G, _ = gp
-        bits = canonical_form_bits(G.adj)
+        bits = canonical_form_bits(G.adj)[0]
         H = Graph.from_triangle_bits(G.n, bits)
-        assert canonical_form_bits(H.adj) == bits
+        assert canonical_form_bits(H.adj)[0] == bits
 
     @pytest.mark.parametrize(
         "lengths", [(3, 4), (3, 5), (3, 3, 4), (4, 4, 5), (3, 4, 6)], ids=lambda ls: "+".join(f"C{m}" for m in ls)
@@ -78,11 +77,11 @@ class TestCanonicalForm:
         G = _cycle_union(*lengths)
         rng = random.Random(len(G.adj))
         for H in (G, Graph(G.n, tuple(((1 << G.n) - 1) ^ (1 << v) ^ row for v, row in enumerate(G.adj)))):
-            form = canonical_form_bits(H.adj)
+            form = canonical_form_bits(H.adj)[0]
             for _ in range(20):
                 perm = list(range(H.n))
                 rng.shuffle(perm)
-                assert canonical_form_bits(H.relabel(perm).adj) == form
+                assert canonical_form_bits(H.relabel(perm).adj)[0] == form
 
     def test_separates_nonisomorphic(self):
         pairs = [
@@ -92,23 +91,23 @@ class TestCanonicalForm:
             (Graph.complete_minus_matching(3, 1), Graph.path(4)),
         ]
         for A, B in pairs:
-            assert canonical_form_bits(A.adj) != canonical_form_bits(B.adj)
+            assert canonical_form_bits(A.adj)[0] != canonical_form_bits(B.adj)[0]
 
     def test_identifies_isomorphic(self):
         C5 = Graph.cycle(5)
         twisted = Graph.from_edges(5, [(0, 2), (2, 4), (4, 1), (1, 3), (3, 0)])
-        assert canonical_form_bits(C5.adj) == canonical_form_bits(twisted.adj)
+        assert canonical_form_bits(C5.adj)[0] == canonical_form_bits(twisted.adj)[0]
 
     def test_trivial_sizes(self):
-        assert canonical_form_bits(Graph.empty(0).adj) == 0
-        assert canonical_form_bits(Graph.empty(1).adj) == 0
+        assert canonical_form_bits(Graph.empty(0).adj)[0] == 0
+        assert canonical_form_bits(Graph.empty(1).adj)[0] == 0
 
     def test_exhaustive_small_orders(self):
         # every graph on <= 4 vertices: forms agree exactly on isomorphic pairs
         for n in range(5):
             m = n * (n - 1) // 2
             graphs = [Graph.from_triangle_bits(n, b) for b in range(1 << m)]
-            forms = [canonical_form_bits(G.adj) for G in graphs]
+            forms = [canonical_form_bits(G.adj)[0] for G in graphs]
             # count distinct forms: 1, 1, 2, 4, 11 unlabeled graphs on 0..4 vertices
             assert len(set(forms)) == {0: 1, 1: 1, 2: 2, 3: 4, 4: 11}[n]
 
@@ -158,10 +157,11 @@ class ReferenceCanonizer:
         self.autos = _twin_autos(adj) if pruned else []
 
     def run(self):
-        if self.n == 0:
-            return 0, []
-        self._search(reference_refine(self.adj, [(1 << self.n) - 1]), [])
-        return self.best, self.best_order
+        if self.n:
+            self._search(reference_refine(self.adj, [(1 << self.n) - 1]), [])
+        else:
+            self.best, self.best_order = 0, []
+        return self.best, self.best_order, self.autos
 
     @staticmethod
     def _find(parent, v):
@@ -218,11 +218,7 @@ class ReferenceCanonizer:
 
 
 def assert_matches_reference(adj):
-    ref = ReferenceCanonizer(adj)
-    expected = ref.run()
-    canonizer = _Canonizer(adj)
-    assert canonizer.run() == expected
-    assert canonizer.autos == ref.autos
+    assert canonical_form_bits(adj) == ReferenceCanonizer(adj).run()
 
 
 def _disjoint_triangles(k):
@@ -266,8 +262,7 @@ _SYMMETRIC = {
 
 
 class TestAgainstReference:
-    """(bits, order) and the automorphisms found equal the pruned
-    reference's.
+    """(bits, order, autos) equal the pruned reference's.
 
     With no bound, _Canonizer also drops each subtree whose fixed prefix
     exceeds the best leaf's; the reference does not.  Every leaf there is
@@ -341,13 +336,13 @@ def test_twin_transpositions_leave_one_leaf(monkeypatch, family):
     monkeypatch.setattr(canon, "_packed_form", counting)
     for n in range(8, 21):
         leaves.clear()
-        _Canonizer(family(n).adj).run()
+        canonical_form_bits(family(n).adj)
         assert len(leaves) == 1, n
 
 
 class TestBound:
-    """canonical_form_bits(adj, bound) is the form f when f <= bound and None
-    when f > bound."""
+    """canonical_form_bits(adj, bound) is the form f, with an order that packs
+    to it, when f <= bound and None when f > bound."""
 
     @staticmethod
     def _relabels_to(adj, bound, form):
@@ -357,7 +352,7 @@ class TestBound:
         return (
             bound != form
             and 0 <= bound < 1 << n * (n - 1) // 2
-            and canonical_form_bits(Graph.from_triangle_bits(n, bound).adj) == form
+            and canonical_form_bits(Graph.from_triangle_bits(n, bound).adj)[0] == form
         )
 
     @settings(max_examples=150, deadline=None)
@@ -365,25 +360,28 @@ class TestBound:
     def test_form_or_none(self, gp, data):
         G, perm = gp
         for adj in (G.adj, G.relabel(perm).adj):
-            form = canonical_form_bits(adj)
+            form = canonical_form_bits(adj)[0]
             drawn = data.draw(st.integers(-1, 1 << G.n * (G.n - 1) // 2))
             for bound in (form - 1, form, form + 1, drawn):
                 if self._relabels_to(adj, bound, form):
                     continue
                 expected = form if form <= bound else None
-                assert canonical_form_bits(adj, bound) == expected, bound
+                bounded, order, _ = canonical_form_bits(adj, bound)
+                assert bounded == expected, bound
+                if expected is not None:
+                    assert _packed_form(adj, order) == expected
 
     def test_bound_zero(self):
         for G in (Graph.path(4), Graph.cycle(7), Graph.complete(9), _petersen()):
-            assert canonical_form_bits(G.adj) > 0
-            assert canonical_form_bits(G.adj, 0) is None
+            assert canonical_form_bits(G.adj)[0] > 0
+            assert canonical_form_bits(G.adj, 0)[0] is None
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_trivial_sizes(self, n):
         adj = Graph.empty(n).adj
-        assert canonical_form_bits(adj, -1) is None
-        assert canonical_form_bits(adj, 0) == 0
-        assert canonical_form_bits(adj, 1) == 0
+        assert canonical_form_bits(adj, -1)[0] is None
+        assert canonical_form_bits(adj, 0)[0] == 0
+        assert canonical_form_bits(adj, 1)[0] == 0
 
 
 def least_form_key(G, form):
@@ -396,22 +394,59 @@ def least_form_key(G, form):
 
 def unbounded_key(G):
     """canonical_key with each H_v searched with no bound."""
-    return least_form_key(G, canonical_form_bits)
+    return least_form_key(G, lambda adj: canonical_form_bits(adj)[0])
 
 
 def _high_representatives():
     return [phi_graph(subset) for n in range(20, 29) for subset in class_transversal(n)]
 
 
+def _count_calls(monkeypatch, module, name, graphs):
+    """The number of calls canonical_key makes to module.name over graphs."""
+    calls = 0
+    inner = getattr(module, name)
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return inner(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    for G in graphs:
+        canonical_key(G)
+    return calls
+
+
 class TestBoundedKey:
-    """canonical_key, whose running least form bounds each later H_v, equals
-    the key of unbounded searches where the bound prunes the most."""
+    """canonical_key, whose running least form bounds each later H_v and
+    which skips every H_v whose v lies in the orbit of a searched vertex,
+    equals the key of unbounded searches of every H_v."""
 
     def test_high_orbit_representatives(self):
         graphs = _high_representatives()
         assert len(graphs) == 62
         for G in graphs:
             assert canonical_key(G) == unbounded_key(G)
+
+    @pytest.mark.parametrize("n", range(20))
+    def test_orbit_representatives(self, n):
+        for subset in class_transversal(n):
+            G = phi_graph(subset)
+            assert canonical_key(G) == unbounded_key(G)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_graphs_and_their_twins(self, seed):
+        rng = random.Random(seed)
+        for _ in range(50):
+            n = rng.randint(1, 14)
+            m = n * (n - 1) // 2
+            bits = rng.getrandbits(m)
+            for _ in range(rng.randint(0, 2)):  # density 1/2, 1/4 or 1/8
+                bits &= rng.getrandbits(m)
+            G = Graph.from_triangle_bits(n, bits)
+            key = unbounded_key(G)
+            assert canonical_key(G) == key
+            assert canonical_key(_switched_relabelled(G, rng)) == key
 
     @pytest.mark.parametrize(
         "G", [Graph.complete(28), Graph.complete_minus_matching(21, 7)], ids=["K28", "K28-7K2"]
@@ -424,20 +459,14 @@ class TestBoundedKey:
         assert unbounded_key(twin) == key
 
     def test_leaf_count(self, monkeypatch):
-        # 1,079 leaves when this guard was set, 5,254 with every H_v
-        # searched from nothing
+        # 535 leaves when this guard was set; 1,079 with every H_v searched,
+        # 5,254 with every H_v searched from nothing
+        assert _count_calls(monkeypatch, canon, "_packed_form", _high_representatives()) <= 600
+
+    def test_search_count(self, monkeypatch):
+        # 374 H_v searched when this guard was set, 1,334 before the orbit skip
         graphs = _high_representatives()
-        leaves = 0
-
-        def counting(adj, order):
-            nonlocal leaves
-            leaves += 1
-            return _packed_form(adj, order)
-
-        monkeypatch.setattr(canon, "_packed_form", counting)
-        for G in graphs:
-            canonical_key(G)
-        assert leaves <= 1200
+        assert _count_calls(monkeypatch, seidel_core, "canonical_form_bits", graphs) <= 400
 
 
 def reference_key(G):
