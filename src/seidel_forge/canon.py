@@ -34,26 +34,29 @@ A search prunes by the fixed prefix of the leaf forms below a node.  The
 partition there is equitable, so each of its k leading singletons is
 adjacent to all or none of every later cell, and rows 0..k-1 of every leaf
 below are already known: the top k(2n - k - 1)/2 bits of its form.  When they
-exceed the same bits of the reference (the least leaf found so far, else the
-caller's bound), no leaf below can become best or give an automorphism, so
-the subtree is dropped as a losing leaf would be; an unbounded search finds
-the same leaves <= best and the same automorphisms as with no pruning.  A
-bound is the canonical form of another graph, so a leaf equal to it before
-any leaf of this search's own shows the two graphs isomorphic and the bound
-this graph's form too: the search ends there, and adds no automorphism,
-since the leaf's match belongs to the other graph.
+exceed the same bits of the least leaf found so far, no leaf below can
+become best or give an automorphism, so the subtree is dropped as a losing
+leaf would be; the search finds the same leaves <= best and the same
+automorphisms as with no pruning.
 
-With the form, a search hands back the order of the leaf that gives it and
-every automorphism it knew: the twin transpositions and those from equal
-leaves.  canonical_key (in seidel_core) extends them to automorphisms of the
-two-graph it keys and skips every H_v they show isomorphic to one searched
-already.
+A switching-class search (switching_form_bits) adds one level at the root,
+which chooses a vertex v: its child is G switched by N(v), which isolates v,
+with the partition [{v}] + the refinement of the rest, and every leaf below
+is a leaf of that graph.  Its form leads with v's row of zeros, so the least
+leaf is the least canonical form over the graphs in G's switching class that
+have an isolated vertex.  Everything above applies unchanged once an
+automorphism means a relabeling that maps G into its own switching class
+(an automorphism of its two-graph): one that fixes v maps the only graph
+there that isolates v onto itself.  So G's twin transpositions qualify, and
+two equal leaves below v and w give one that sends w to v: the search goes
+back to the root, and prunes every later root child in the orbit of one
+searched already.
 
 Adjacency is handled as per-vertex bitmasks throughout.
 """
 from __future__ import annotations
 
-__all__ = ["canonical_form_bits", "pack_bits"]
+__all__ = ["canonical_form_bits", "pack_bits", "switching_form_bits"]
 
 
 def pack_bits(bits: int, nbits: int) -> bytes:
@@ -153,10 +156,13 @@ def _merge_orbits(orbit: list[int], pairs) -> None:
 
 
 class _Canonizer:
-    def __init__(self, adj: tuple[int, ...], bound: int | None = None):
+    def __init__(self, adj: tuple[int, ...], switching: bool = False):
+        # with switching, the root chooses v and the graph below it is
+        # adj switched to isolate v: self.adj is the graph searched now
+        self.graph = adj
         self.adj = adj
         self.n = len(adj)
-        self.bound = bound
+        self.switching = switching
         self.best: int | None = None
         self.best_order: list[int] | None = None
         # the individualized vertices (as bits) from the root to the current
@@ -176,34 +182,27 @@ class _Canonizer:
         self.fixed.append(sum(1 << w for w in range(self.n) if g[w] == w))
         self.moved.append([(w, x) for w, x in enumerate(g) if x != w])
 
-    def run(self) -> tuple[int | None, list[int] | None, list[tuple[int, ...]]]:
-        """The least leaf form, its order and the automorphisms found; form
-        and order are None when every leaf form exceeds the bound."""
-        cells = _refine(self.adj, [(1 << self.n) - 1]) if self.n else []
-        self._search(cells, 0, 0, 0)
-        return self.best, self.best_order, self.autos
+    def run(self) -> int:
+        """The least leaf form."""
+        cells = [(1 << self.n) - 1] if self.n else []
+        self._search(cells if self.switching else _refine(self.adj, cells), 0, 0, 0)
+        assert self.best is not None
+        return self.best
 
     def _search(self, cells: list[int], prefix: int, rows: int, head: int) -> int:
         """Search below the node whose individualized vertices are the bits
         of prefix, where every leaf form below starts with the rows rows
-        packed in head; return the depth of the ancestor where the search goes on (n
-        when it goes on at the parent, -1 when the search ends)."""
+        packed in head; return the depth of the ancestor where the search
+        goes on (n when it goes on at the parent)."""
         target = next((k for k, c in enumerate(cells) if c & (c - 1)), None)
-        ref = self.bound if self.best is None else self.best
         if target is None:
             order = [c.bit_length() - 1 for c in cells]
             form = _packed_form(self.adj, order)
-            if ref is None or form < ref:
+            if self.best is None or form < self.best:
                 self.best = form
                 self.best_order = order
                 self.best_path = self.path[:]
-            elif form == ref:
-                if self.best is None:
-                    # equal to the bound: the canonical form of an
-                    # isomorphic graph, so this graph's form as well
-                    self.best = form
-                    self.best_order = order
-                    return -1
+            elif form == self.best:
                 assert self.best_order is not None
                 # equal leaves witness an automorphism: send the vertex with
                 # label k in this leaf to the one with label k in the best leaf
@@ -227,9 +226,9 @@ class _Canonizer:
                 size = later.bit_count()
                 head = head << size | ((1 << size) - 1 if row & later else 0)
             rows += 1
-        if ref is not None:
+        if self.best is not None:
             tail = (self.n - rows) * (self.n - rows - 1) // 2
-            if head > ref >> tail:
+            if head > self.best >> tail:
                 return self.n
         cell = cells[target]
         # orbit bitmasks of the known automorphisms that fix prefix; autos
@@ -251,27 +250,35 @@ class _Canonizer:
                 if orbit[low.bit_length() - 1] & tried:
                     continue
             tried |= low
-            child = cells[:target] + [low, cell ^ low] + cells[target + 1 :]
+            if prefix or not self.switching:
+                child = cells[:target] + [low, cell ^ low] + cells[target + 1 :]
+                child = _refine(self.adj, child, [low])
+            else:
+                # the root chooses v: G switched by N(v), which isolates v
+                self.adj = _isolate(self.graph, low)
+                child = [low] + _refine(self.adj, [cell ^ low])
             self.path.append(low)
-            resume = self._search(
-                _refine(self.adj, child, [low]), prefix | low, rows, head
-            )
+            resume = self._search(child, prefix | low, rows, head)
             self.path.pop()
             if resume < len(self.path):
                 return resume
         return self.n
 
 
-def canonical_form_bits(
-    adj: tuple[int, ...], bound: int | None = None
-) -> tuple[int | None, list[int] | None, list[tuple[int, ...]]]:
-    """(form, order, autos): the canonical packed upper-triangle bits of the
-    graph, the vertex order that packs to them (order[k] receives label k)
-    and automorphisms of the graph found on the way; with a bound, form and
-    order are None when the form exceeds it.
+def _isolate(adj: tuple[int, ...], low: int) -> tuple[int, ...]:
+    """The graph switched by the neighbourhood of the vertex whose bit is
+    low, which isolates that vertex: each row flips across the cut."""
+    nv = adj[low.bit_length() - 1]
+    flip = ((1 << len(adj)) - 1) ^ nv
+    return tuple(row ^ (flip if nv >> x & 1 else nv) for x, row in enumerate(adj))
 
-    A leaf equal to the bound ends the search, so a bound must be the
-    canonical form of some graph or else no relabeling's packed form of this
-    one; the order returned then packs to the bound.
-    """
-    return _Canonizer(adj, bound).run()
+
+def canonical_form_bits(adj: tuple[int, ...]) -> int:
+    """The canonical packed upper-triangle bits of the graph."""
+    return _Canonizer(adj).run()
+
+
+def switching_form_bits(adj: tuple[int, ...]) -> int:
+    """The least canonical form over the graphs in the graph's switching
+    class that have an isolated vertex, which leads with its row of zeros."""
+    return _Canonizer(adj, switching=True).run()

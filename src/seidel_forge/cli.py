@@ -257,7 +257,7 @@ def _check_lem_sd(cfg: argparse.Namespace) -> tuple[list[str], str]:
             pairs += 1
             w = dst_witness(n, m)
             target = Graph.complete_minus_matching(m - 2, n - m + 2)
-            if canonical_form_bits(w.graph.adj)[0] != canonical_form_bits(target.adj)[0]:
+            if canonical_form_bits(w.graph.adj) != canonical_form_bits(target.adj):
                 problems.append(f"({n}, {m}): graph is not D_{m - 2},{n - m + 2}")
                 continue
             M = _three_i_minus_s(w.graph)

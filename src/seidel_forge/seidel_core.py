@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .canon import _merge_orbits, _packed_form, canonical_form_bits, pack_bits
+from .canon import _packed_form, pack_bits, switching_form_bits
 from .exact_linalg import IntMatrix
 from .weyl_orbits import _orbit_minima
 
@@ -202,57 +202,13 @@ def canonical_key(G: Graph) -> SwitchingClassKey:
 
     For each vertex v, switching by its neighbourhood isolates v; every graph
     in the switching class of G that has an isolated vertex arises this way.
-    H_v is that graph with v deleted, and the least canonical form over all
-    v is therefore a full invariant of the switching class of G up to
-    isomorphism.  The key packs it into C(n, 2) bits, whose leading n - 1
-    zeros are the row of the isolated vertex.
-
-    The least form so far bounds each later H_v's search, which drops every
-    subtree that cannot beat it and stops at a leaf equal to it.
-
-    A relabeling g that maps G into its own switching class (an automorphism
-    of its two-graph) maps H_v onto H_g(v), so no H_v is searched whose v
-    lies in the orbit of a searched vertex under the group such g generate;
-    the least form is the same.  Each search supplies g: the automorphisms
-    of H_v it found, extended by fixing v, and, when it stops at a leaf equal
-    to the bound, the isomorphism from H_v onto the H_w that set the bound,
-    which sends the vertex of label k in that leaf to the one of label k in
-    the bound's leaf, extended by v -> w.
+    The least canonical form over those graphs is therefore a full invariant
+    of the switching class of G up to isomorphism.  It packs into C(n, 2)
+    bits, whose leading n - 1 zeros are the row of the isolated vertex; the
+    rest is the canonical form of that graph with the vertex deleted.  One
+    search finds it, whose root chooses v (canon.switching_form_bits).
     """
-    n = G.n
-    if n == 0:
-        return SwitchingClassKey(0, b"")
-    best = best_v = best_order = None
-    full = (1 << n) - 1
-    # orbit[x]: x's orbit under the automorphisms found so far, as a bitmask
-    orbit = [1 << x for x in range(n)]
-    searched = 0
-    for v, nv in enumerate(G.adj):
-        if orbit[v] & searched:
-            continue
-        searched |= 1 << v
-        # H = G switched by N(v), which isolates v, with v deleted: each row
-        # flips across the cut and drops bit v
-        below = (1 << v) - 1
-        rows = []
-        for x, row in enumerate(G.adj):
-            if x != v:
-                row ^= full ^ nv if nv >> x & 1 else nv
-                rows.append(row & below | row >> 1 & ~below)
-        H = tuple(rows)
-        # H's vertex k is G's vertex k + (k >= v)
-        form, order, autos = canonical_form_bits(H, best)
-        pairs = [(a + (a >= v), b + (b >= v)) for g in autos for a, b in enumerate(g) if a != b]
-        if form is not None:
-            lifted = [k + (k >= v) for k in order]
-            if best is None or form < best:
-                best, best_v, best_order = form, v, lifted
-            else:  # a leaf equal to the bound
-                pairs += [(v, best_v), *zip(lifted, best_order)]
-        _merge_orbits(orbit, pairs)
-    assert best is not None
-    m = n * (n - 1) // 2
-    return SwitchingClassKey(n, pack_bits(best, m))
+    return SwitchingClassKey(G.n, pack_bits(switching_form_bits(G.adj), G.n * (G.n - 1) // 2))
 
 
 def _pair_permutation(t: list[int], n: int) -> list[int]:

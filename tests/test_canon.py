@@ -1,11 +1,13 @@
 """Canonical labeling: isomorphism invariance and discrimination."""
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seidel_forge import canon, seidel_core
+from seidel_forge import canon
 from seidel_forge.canon import (
+    _Canonizer,
     _packed_form,
     _refine,
     _twin_autos,
@@ -48,15 +50,16 @@ class TestCanonicalForm:
     @given(graphs_with_permutation())
     def test_invariant_under_relabeling(self, gp):
         G, perm = gp
-        assert canonical_form_bits(G.adj)[0] == canonical_form_bits(G.relabel(perm).adj)[0]
+        assert canonical_form_bits(G.adj) == canonical_form_bits(G.relabel(perm).adj)
 
     @settings(max_examples=80, deadline=None)
     @given(graphs_with_permutation(max_n=6))
     def test_relabeling_achieves_the_form(self, gp):
         G, _ = gp
-        bits, order, _ = canonical_form_bits(G.adj)
+        canonizer = _Canonizer(G.adj)
+        bits = canonizer.run()
         inverse = [0] * G.n
-        for new, old in enumerate(order):
+        for new, old in enumerate(canonizer.best_order):
             inverse[old] = new
         assert G.relabel(inverse).triangle_bits() == bits
 
@@ -64,9 +67,9 @@ class TestCanonicalForm:
     @given(graphs_with_permutation(max_n=6))
     def test_idempotent(self, gp):
         G, _ = gp
-        bits = canonical_form_bits(G.adj)[0]
+        bits = canonical_form_bits(G.adj)
         H = Graph.from_triangle_bits(G.n, bits)
-        assert canonical_form_bits(H.adj)[0] == bits
+        assert canonical_form_bits(H.adj) == bits
 
     @pytest.mark.parametrize(
         "lengths", [(3, 4), (3, 5), (3, 3, 4), (4, 4, 5), (3, 4, 6)], ids=lambda ls: "+".join(f"C{m}" for m in ls)
@@ -77,11 +80,11 @@ class TestCanonicalForm:
         G = _cycle_union(*lengths)
         rng = random.Random(len(G.adj))
         for H in (G, Graph(G.n, tuple(((1 << G.n) - 1) ^ (1 << v) ^ row for v, row in enumerate(G.adj)))):
-            form = canonical_form_bits(H.adj)[0]
+            form = canonical_form_bits(H.adj)
             for _ in range(20):
                 perm = list(range(H.n))
                 rng.shuffle(perm)
-                assert canonical_form_bits(H.relabel(perm).adj)[0] == form
+                assert canonical_form_bits(H.relabel(perm).adj) == form
 
     def test_separates_nonisomorphic(self):
         pairs = [
@@ -91,23 +94,23 @@ class TestCanonicalForm:
             (Graph.complete_minus_matching(3, 1), Graph.path(4)),
         ]
         for A, B in pairs:
-            assert canonical_form_bits(A.adj)[0] != canonical_form_bits(B.adj)[0]
+            assert canonical_form_bits(A.adj) != canonical_form_bits(B.adj)
 
     def test_identifies_isomorphic(self):
         C5 = Graph.cycle(5)
         twisted = Graph.from_edges(5, [(0, 2), (2, 4), (4, 1), (1, 3), (3, 0)])
-        assert canonical_form_bits(C5.adj)[0] == canonical_form_bits(twisted.adj)[0]
+        assert canonical_form_bits(C5.adj) == canonical_form_bits(twisted.adj)
 
     def test_trivial_sizes(self):
-        assert canonical_form_bits(Graph.empty(0).adj)[0] == 0
-        assert canonical_form_bits(Graph.empty(1).adj)[0] == 0
+        assert canonical_form_bits(Graph.empty(0).adj) == 0
+        assert canonical_form_bits(Graph.empty(1).adj) == 0
 
     def test_exhaustive_small_orders(self):
         # every graph on <= 4 vertices: forms agree exactly on isomorphic pairs
         for n in range(5):
             m = n * (n - 1) // 2
             graphs = [Graph.from_triangle_bits(n, b) for b in range(1 << m)]
-            forms = [canonical_form_bits(G.adj)[0] for G in graphs]
+            forms = [canonical_form_bits(G.adj) for G in graphs]
             # count distinct forms: 1, 1, 2, 4, 11 unlabeled graphs on 0..4 vertices
             assert len(set(forms)) == {0: 1, 1: 1, 2: 2, 3: 4, 4: 11}[n]
 
@@ -218,7 +221,10 @@ class ReferenceCanonizer:
 
 
 def assert_matches_reference(adj):
-    assert canonical_form_bits(adj) == ReferenceCanonizer(adj).run()
+    canonizer = _Canonizer(adj)
+    form = canonizer.run()
+    assert form == canonical_form_bits(adj)
+    assert (form, canonizer.best_order, canonizer.autos) == ReferenceCanonizer(adj).run()
 
 
 def _disjoint_triangles(k):
@@ -264,11 +270,11 @@ _SYMMETRIC = {
 class TestAgainstReference:
     """(bits, order, autos) equal the pruned reference's.
 
-    With no bound, _Canonizer also drops each subtree whose fixed prefix
-    exceeds the best leaf's; the reference does not.  Every leaf there is
-    greater than the best, which no leaf of the subtree lowers, so walking
-    it sets no best, finds no automorphism and jumps back nowhere, and both
-    searches end in the same state.
+    _Canonizer also drops each subtree whose fixed prefix exceeds the best
+    leaf's; the reference does not.  Every leaf there is greater than the
+    best, which no leaf of the subtree lowers, so walking it sets no best,
+    finds no automorphism and jumps back nowhere, and both searches end in
+    the same state.
     """
 
     @settings(max_examples=150, deadline=None)
@@ -340,50 +346,6 @@ def test_twin_transpositions_leave_one_leaf(monkeypatch, family):
         assert len(leaves) == 1, n
 
 
-class TestBound:
-    """canonical_form_bits(adj, bound) is the form f, with an order that packs
-    to it, when f <= bound and None when f > bound."""
-
-    @staticmethod
-    def _relabels_to(adj, bound, form):
-        """Whether bound packs a relabeling of the graph other than its
-        canonical one, which a leaf equal to it would be taken for."""
-        n = len(adj)
-        return (
-            bound != form
-            and 0 <= bound < 1 << n * (n - 1) // 2
-            and canonical_form_bits(Graph.from_triangle_bits(n, bound).adj)[0] == form
-        )
-
-    @settings(max_examples=150, deadline=None)
-    @given(graphs_with_permutation(max_n=10), st.data())
-    def test_form_or_none(self, gp, data):
-        G, perm = gp
-        for adj in (G.adj, G.relabel(perm).adj):
-            form = canonical_form_bits(adj)[0]
-            drawn = data.draw(st.integers(-1, 1 << G.n * (G.n - 1) // 2))
-            for bound in (form - 1, form, form + 1, drawn):
-                if self._relabels_to(adj, bound, form):
-                    continue
-                expected = form if form <= bound else None
-                bounded, order, _ = canonical_form_bits(adj, bound)
-                assert bounded == expected, bound
-                if expected is not None:
-                    assert _packed_form(adj, order) == expected
-
-    def test_bound_zero(self):
-        for G in (Graph.path(4), Graph.cycle(7), Graph.complete(9), _petersen()):
-            assert canonical_form_bits(G.adj)[0] > 0
-            assert canonical_form_bits(G.adj, 0)[0] is None
-
-    @pytest.mark.parametrize("n", [0, 1])
-    def test_trivial_sizes(self, n):
-        adj = Graph.empty(n).adj
-        assert canonical_form_bits(adj, -1)[0] is None
-        assert canonical_form_bits(adj, 0)[0] == 0
-        assert canonical_form_bits(adj, 1)[0] == 0
-
-
 def least_form_key(G, form):
     """The key of the least form(H_v) over the distinct H_v, each built
     through validated Graphs."""
@@ -392,9 +354,9 @@ def least_form_key(G, form):
     return SwitchingClassKey(G.n, pack_bits(least, G.n * (G.n - 1) // 2))
 
 
-def unbounded_key(G):
-    """canonical_key with each H_v searched with no bound."""
-    return least_form_key(G, lambda adj: canonical_form_bits(adj)[0])
+def separate_key(G):
+    """canonical_key with each H_v canonized in a search of its own."""
+    return least_form_key(G, canonical_form_bits)
 
 
 def _high_representatives():
@@ -418,21 +380,21 @@ def _count_calls(monkeypatch, module, name, graphs):
 
 
 class TestBoundedKey:
-    """canonical_key, whose running least form bounds each later H_v and
-    which skips every H_v whose v lies in the orbit of a searched vertex,
-    equals the key of unbounded searches of every H_v."""
+    """canonical_key, one search whose root chooses v, whose least leaf
+    bounds every later branch and whose automorphisms prune the branches in
+    the orbit of a searched v, equals the key of a search of every H_v."""
 
     def test_high_orbit_representatives(self):
         graphs = _high_representatives()
         assert len(graphs) == 62
         for G in graphs:
-            assert canonical_key(G) == unbounded_key(G)
+            assert canonical_key(G) == separate_key(G)
 
     @pytest.mark.parametrize("n", range(20))
     def test_orbit_representatives(self, n):
         for subset in class_transversal(n):
             G = phi_graph(subset)
-            assert canonical_key(G) == unbounded_key(G)
+            assert canonical_key(G) == separate_key(G)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_graphs_and_their_twins(self, seed):
@@ -444,7 +406,7 @@ class TestBoundedKey:
             for _ in range(rng.randint(0, 2)):  # density 1/2, 1/4 or 1/8
                 bits &= rng.getrandbits(m)
             G = Graph.from_triangle_bits(n, bits)
-            key = unbounded_key(G)
+            key = separate_key(G)
             assert canonical_key(G) == key
             assert canonical_key(_switched_relabelled(G, rng)) == key
 
@@ -452,21 +414,44 @@ class TestBoundedKey:
         "G", [Graph.complete(28), Graph.complete_minus_matching(21, 7)], ids=["K28", "K28-7K2"]
     )
     def test_family_graphs_and_their_twins(self, G):
-        key = unbounded_key(G)
+        key = separate_key(G)
         assert canonical_key(G) == key
         twin = _switched_relabelled(G, random.Random(28))
         assert canonical_key(twin) == key
-        assert unbounded_key(twin) == key
+        assert separate_key(twin) == key
 
     def test_leaf_count(self, monkeypatch):
-        # 535 leaves when this guard was set; 1,079 with every H_v searched,
-        # 5,254 with every H_v searched from nothing
-        assert _count_calls(monkeypatch, canon, "_packed_form", _high_representatives()) <= 600
+        # 436 leaves when this guard was set; 535 with a search per H_v,
+        # 1,079 with every H_v searched, 5,254 with every H_v searched from
+        # nothing
+        assert _count_calls(monkeypatch, canon, "_packed_form", _high_representatives()) <= 480
 
     def test_search_count(self, monkeypatch):
-        # 374 H_v searched when this guard was set, 1,334 before the orbit skip
-        graphs = _high_representatives()
-        assert _count_calls(monkeypatch, seidel_core, "canonical_form_bits", graphs) <= 400
+        # 374 root children (choices of v) searched when this guard was set,
+        # 1,334 before the orbit pruning reached them
+        assert _count_calls(monkeypatch, canon, "_isolate", _high_representatives()) <= 400
+
+    def test_automorphisms_preserve_the_two_graph(self):
+        # the search's automorphisms at the root are relabelings that keep
+        # the set of triples with an odd number of edges
+        rng = random.Random(5)
+        graphs = _high_representatives()[::7] + [
+            _switched_relabelled(Graph.complete_minus_matching(n - 3, 3), rng) for n in (9, 12)
+        ]
+        found = 0
+        for G in graphs:
+            canonizer = _Canonizer(G.adj, switching=True)
+            canonizer.run()
+            odd = {t for t in combinations(range(G.n), 3) if _odd_triple(G, t)}
+            for g in canonizer.autos:
+                assert {tuple(sorted(g[x] for x in t)) for t in odd} == odd
+            found += len(canonizer.autos) - len(_twin_autos(G.adj))
+        assert found > 0
+
+
+def _odd_triple(G, t):
+    a, b, c = t
+    return (G.adj[a] >> b ^ G.adj[a] >> c ^ G.adj[b] >> c) & 1
 
 
 def reference_key(G):

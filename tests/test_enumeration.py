@@ -1,5 +1,6 @@
 """The class-subset-to-switching-class map and the counting pipeline."""
 import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from seidel_forge import enumeration
 from seidel_forge.canon import canonical_form_bits
 from seidel_forge.enumeration import (
+    SCHEMA_VERSION,
     OmegaTable,
     _orderly_ladder,
     brute_force_counts,
@@ -90,6 +92,15 @@ class TestPhi:
                 H = gram_to_graph(vectors)
                 assert H == switch(phi_graph(subset), flip)
                 assert canonical_key(H) == phi(subset)
+
+    def test_key_bytes_golden_digest(self):
+        # every phi key on the transversals, as reps prints them; a change of
+        # key bytes is deliberate only with a new SCHEMA_VERSION and digest
+        lines = [phi(subset).hex for n in range(29) for subset in class_transversal(n)]
+        assert (len(lines), len(set(lines))) == (931, 930)
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "c2373d540afad6cb9654b4ba22f89a495106fcab9e565d39bca35da91c17db83"
+        assert SCHEMA_VERSION == 1
 
     def test_orbit_invariance(self):
         # phi is constant on orbits of the induced 28-point action
@@ -259,7 +270,7 @@ class TestFamilyWitnesses:
     def test_dst_graph_shape(self):
         w = dst_witness(7, 8)
         ref = Graph.complete_minus_matching(6, 1)
-        assert canonical_form_bits(w.graph.adj)[0] == canonical_form_bits(ref.adj)[0]
+        assert canonical_form_bits(w.graph.adj) == canonical_form_bits(ref.adj)
         assert w.spec.name == "D8"
 
     def test_dst_interior_has_eigenvalue_3(self):
@@ -270,9 +281,7 @@ class TestFamilyWitnesses:
     def test_dst_boundary_rank_full(self):
         # at n = m - 1 the rank equals n, so the bound is strict
         w = dst_witness(3, 4)
-        assert canonical_form_bits(w.graph.adj)[0] == canonical_form_bits(
-            Graph.path(3).adj
-        )[0]
+        assert canonical_form_bits(w.graph.adj) == canonical_form_bits(Graph.path(3).adj)
         assert _rank_3i_minus_s(w.graph) == 3
 
     @pytest.mark.parametrize("n,m", [(3, 5), (7, 4), (5, 3)])
