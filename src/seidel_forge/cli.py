@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from datetime import datetime, timezone
+from functools import lru_cache
 
 from .canon import canonical_form_bits
 from .enumeration import (
@@ -401,7 +402,9 @@ def _output_options(fmt: str) -> argparse.ArgumentParser:
     return p
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser tree, built once per process: parsing leaves it unchanged."""
     check_paper = argparse.ArgumentParser(add_help=False)
     check_paper.add_argument("--check-paper", action="store_true", help="compare with the reference table; exit 1 on mismatch")
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 
 from .exact_linalg import IntMatrix, is_psd, max_eig_le, rank
 from .root_lattices import (
@@ -106,39 +105,56 @@ def _orderly_ladder(gens, adj, counts) -> tuple[tuple[tuple[int, ...], ...], ...
 
     p(a, b) counts the w in T - {a, b} with {a, b, w} odd in adj, and R[v]
     = sum_{a in T} p(v, a) the ordered pairs (a, w) in T with {v, a, w} odd.
-    The key of T, the sorted (r_a, s_a) with r_a = R[a], s_a = sum_b p(a, b)
-    r_b over a in T, and the sorted c_y = R[y] over y outside T, sees only
-    odd triples, so every generator keeping triple parity (checked first)
-    keeps it.  Level n's candidates S + x, x > max S, hold every orbit's
-    least member, as S lex-least makes S - {max S} lex-least; R of S + x is R
-    of S plus twice the count of {v, x, a} odd over a in S.  Exactly
-    counts[n] keys means one orbit per key and its least candidate; else
-    RuntimeError at that n.
+    The key of T, the sorted R[a] * 2^W + s_a over a in T, with s_a = sum_b
+    p(a, b) R[b], and the sorted R over all vertices, sees only odd triples,
+    so every generator keeping triple parity keeps it.  g keeps it iff adj
+    and adj relabelled by g are switching equivalent, that is, iff their XOR
+    is a complete bipartite cut (checked first).  Level n's candidates
+    S + x, x > max S, hold every orbit's least member, as S lex-least makes
+    S - {max S} lex-least.  Exactly counts[n] keys means one orbit per key
+    and its least candidate; else RuntimeError at that n.
+
+    Each member carries p in W-bit fields: column P[v] holds p(a, v) in
+    field a, and Rv holds R[v] in field v.  SP[x][v] holds bit a of
+    odd[x][v] in field a, so T = S + x has columns P[v] + SP[x][v] and
+    Rv + 2 * P[x], and its s_a are the fields of the sum over b in T of R[b]
+    times T's column b: O(m + |T|) integer operations per candidate.  No
+    field carries: every field of that sum, for a in T or not, is at most
+    ((m - 1)(m - 2))^2 < 2^W.
     """
     m = len(adj)
-    # odd[a][b]: the w making {a, b, w} odd; bits a and b cancel, as adj has no loops
-    odd = [[adj[a] ^ adj[b] ^ -(adj[a] >> b & 1) & (1 << m) - 1 for b in range(m)] for a in range(m)]
-    triples = [(a, b, w) for a, b in combinations(range(m), 2) for w in range(b + 1, m) if odd[a][b] >> w & 1]
+    full = (1 << m) - 1
     for g in gens:
-        if not all(odd[g[a]][g[b]] >> g[w] & 1 for a, b, w in triples):
+        bits = [1 << y for y in g]
+        moved = [0] * m
+        for a, row in enumerate(adj):
+            moved[g[a]] = sum(bits[b] for b in range(m) if row >> b & 1)
+        cut = adj[0] ^ moved[0]  # the side of the cut without vertex 0
+        if any(x ^ y != (full ^ cut if cut >> v & 1 else cut) for v, (x, y) in enumerate(zip(adj, moved))):
             raise RuntimeError("a generator maps an odd triple to an even one")
 
+    W = max(1, ((m - 1) * (m - 2)) ** 2).bit_length()
+    field = (1 << W) - 1
+    shifts = [W * v for v in range(m)]
+    # odd[x][v]: the w making {x, v, w} odd; bits x and v cancel, as adj has no loops
+    odd = [[adj[x] ^ adj[v] ^ -(adj[x] >> v & 1) & full for v in range(m)] for x in range(m)]
+    SP = [[sum(1 << shifts[a] for a in range(m) if o >> a & 1) for o in row] for row in odd]
+
     levels = [((),)]
-    vectors = [[0] * m]  # R of each member of the last level
+    members = [([0] * m, 0)]  # (P, Rv) of each member of the last level
     for n in range(1, m + 1):
-        least: dict[tuple, tuple[tuple[int, ...], list[int]]] = {}
-        for S, R_S in zip(levels[-1], vectors):  # candidates in lexicographic order
-            mask_S = sum(1 << v for v in S)
+        least: dict[tuple[int, ...], tuple] = {}
+        for S, (P, Rv) in zip(levels[-1], members):  # candidates in lexicographic order
             for x in range(S[-1] + 1 if S else 0, m):
-                T, mask = S + (x,), mask_S | 1 << x
-                R = [rv + 2 * (ox & mask_S).bit_count() for rv, ox in zip(R_S, odd[x])]
-                rs = sorted((R[a], sum((odd[a][b] & mask).bit_count() * R[b] for b in T)) for a in T)
-                c = sorted(R[y] for y in range(m) if not mask >> y & 1)
-                least.setdefault((tuple(rs), tuple(c)), (T, R))
+                T, Rv_T, SPx = S + (x,), Rv + 2 * P[x], SP[x]
+                R = [Rv_T >> s & field for s in shifts]
+                s = sum(R[b] * (P[b] + SPx[b]) for b in T)
+                key = tuple(sorted(R[a] << W | s >> shifts[a] & field for a in T)) + tuple(sorted(R))
+                least.setdefault(key, (T, P, x, Rv_T))
         if len(least) != counts[n]:
             raise RuntimeError(f"n = {n}: {len(least)} key classes != {counts[n]} orbits")
-        levels.append(tuple(T for T, _ in least.values()))
-        vectors = [R for _, R in least.values()]
+        levels.append(tuple(T for T, _, _, _ in least.values()))
+        members = [([p + sp for p, sp in zip(P, SP[x])], Rv_T) for _, P, x, Rv_T in least.values()]
     return tuple(levels)
 
 

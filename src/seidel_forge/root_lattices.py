@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from operator import mul
 
 from .exact_linalg import _bareiss_pivots
 
@@ -45,10 +46,6 @@ class RootVector:
 
     coords2: tuple[int, ...]
 
-    @property
-    def dim(self) -> int:
-        return len(self.coords2)
-
     @staticmethod
     def unit(i: int, dim: int) -> "RootVector":
         return RootVector(tuple(2 * int(k == i) for k in range(dim)))
@@ -68,9 +65,9 @@ class RootVector:
 
 def inner(u: RootVector, v: RootVector) -> int:
     """Exact inner product; rejects pairs whose product is not integral."""
-    if u.dim != v.dim:
+    if len(u.coords2) != len(v.coords2):
         raise ValueError("dimension mismatch")
-    d = sum(a * b for a, b in zip(u.coords2, v.coords2))
+    d = sum(map(mul, u.coords2, v.coords2))
     if d % 4:
         raise ValueError(f"non-integral inner product {d}/4")
     return d // 4
@@ -80,7 +77,8 @@ def reflect(r: RootVector, x: RootVector) -> RootVector:
     """Reflection s_r(x) = x - (x, r) r for a root r (norm 2)."""
     if inner(r, r) != 2:
         raise ValueError("reflection axis must be a root")
-    return x - r.scaled(inner(x, r))
+    c = inner(x, r)
+    return RootVector(tuple(a - c * b for a, b in zip(x.coords2, r.coords2)))
 
 
 @dataclass(frozen=True)

@@ -226,12 +226,12 @@ class PermGroup:
         to the child taking b_i to k(p(z)).  So one child per K-orbit on the
         points p(z) is walked, weighted by the orbit size; the member taken
         is the one fixed by the largest chain subgroup, so that the
-        reduction keeps working below it.  Where K is trivial every orbit is
-        one point and the subtree is walked in full.
+        reduction keeps working below it.  K depends on j alone, so each
+        chain subgroup's orbits are found once.  Where K is trivial every
+        orbit is one point and the subtree is walked in full.
         """
         levels = self._levels
         depth = len(levels)
-        chain_gens = [self._strong_gens_at(j) for j in range(depth + 1)]
         # fixed_from[x]: the least j such that G_j fixes x
         fixed_from = [0] * self.degree
         for j, lvl in enumerate(levels):
@@ -239,6 +239,27 @@ class PermGroup:
                 for x, y in enumerate(g):
                     if x != y:
                         fixed_from[x] = j + 1
+        # orbit_of[j][x]: the member of x's G_j-orbit that walk takes, and the orbit size
+        orbit_of = []
+        for j in range(depth + 1):
+            gens = self._strong_gens_at(j)
+            of: list = [None] * self.degree
+            for x in range(self.degree):
+                if of[x] is not None:
+                    continue
+                orbit = {x}
+                queue = [x]
+                while queue:
+                    y = queue.pop()
+                    for s in gens:
+                        z = s[y]
+                        if z not in orbit:
+                            orbit.add(z)
+                            queue.append(z)
+                best = min(orbit, key=lambda y: (fixed_from[y], y))
+                for y in orbit:
+                    of[y] = (best, len(orbit))
+            orbit_of.append(of)
         counts: Counter = Counter()
 
         def walk(i: int, p: tuple[int, ...], weight: int, fixing: int) -> None:
@@ -246,29 +267,12 @@ class PermGroup:
             if i == depth:
                 counts[_cycle_type(p)] += weight
                 return
-            gens = chain_gens[max(fixing, i + 1)]
-            children = {p[z]: u for z, u in levels[i].transversal.items()}
-            seen: set[int] = set()
-            for y in sorted(children):
-                if y in seen:
-                    continue
-                orbit = {y}
-                queue = [y]
-                while queue:
-                    x = queue.pop()
-                    for s in gens:
-                        z = s[x]
-                        if z not in orbit:
-                            orbit.add(z)
-                            queue.append(z)
-                seen |= orbit
-                best = min(orbit, key=lambda x: (fixed_from[x], x))
-                walk(
-                    i + 1,
-                    _compose(p, children[best]),
-                    weight * len(orbit),
-                    max(fixing, fixed_from[best]),
-                )
+            of = orbit_of[max(fixing, i + 1)]
+            for z, u in levels[i].transversal.items():
+                y = p[z]
+                best, size = of[y]
+                if y == best:
+                    walk(i + 1, _compose(p, u), weight * size, max(fixing, fixed_from[y]))
 
         walk(0, tuple(range(self.degree)), 1, 0)
         return counts

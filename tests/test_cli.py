@@ -260,6 +260,14 @@ class TestReps:
         assert code == 0
         assert "lattice" in out and "A2" in out
 
+    def test_usage_error_between_two_runs(self, capsys):
+        # the parser is built once per process; a call that exits 2 in it
+        # leaves the next call's output unchanged
+        first = run(capsys, "reps", "--n", "3", "--no-meta")
+        assert run(capsys, "reps", "--n", "bogus")[0] == 2
+        assert run(capsys, "reps", "--n", "3", "--no-meta") == first
+        assert first[0] == 0 and first[1]
+
 
 class TestOutputPathHandling:
     def test_missing_parent_directory(self, capsys):

@@ -2,6 +2,7 @@
 import dataclasses
 import hashlib
 import random
+from itertools import combinations
 
 import pytest
 
@@ -159,6 +160,28 @@ class TestTransversalProperties:
             class_transversal(n)
 
 
+def _least_orbit_members(gens, m):
+    """Lex-least member of every orbit of subsets of range(m), by closing
+    each subset's orbit under gens: one tuple per subset size."""
+    done = set()
+    levels = [[] for _ in range(m + 1)]
+    for mask in range(1 << m):
+        if mask in done:
+            continue
+        orbit, stack = {mask}, [mask]
+        while stack:
+            cur = stack.pop()
+            for g in gens:
+                image = sum(1 << g[v] for v in range(m) if cur >> v & 1)
+                if image not in orbit:
+                    orbit.add(image)
+                    stack.append(image)
+        done |= orbit
+        least = min(tuple(v for v in range(m) if o >> v & 1) for o in orbit)
+        levels[len(least)].append(least)
+    return tuple(tuple(sorted(level)) for level in levels)
+
+
 class TestOrderlyLadder:
     @staticmethod
     def inputs():
@@ -177,8 +200,9 @@ class TestOrderlyLadder:
             _orderly_ladder(gens, adj, bad)
 
     def test_levels_of_the_key_counted_from_scratch(self):
-        # the ladder carries R from S to S + x; counting every p(a, b) and
-        # p(y, a) in each candidate instead gives the same levels
+        # the ladder carries p as packed columns from S to S + x; counting
+        # every p(a, b) and p(y, a) in each candidate instead gives the same
+        # levels
         gens, adj, counts = self.inputs()
         m = len(adj)
         edges = [[adj[a] >> b & 1 for b in range(m)] for a in range(m)]
@@ -211,6 +235,68 @@ class TestOrderlyLadder:
         swap = (1, 0) + tuple(range(2, 28))
         with pytest.raises(RuntimeError, match="odd triple"):
             _orderly_ladder(gens + (swap,), adj, counts)
+
+    def test_fields_hold_the_largest_key(self):
+        # at T = all 32 vertices of K_32, p(a, b) = 30, R[a] = 930 and
+        # s_a = 864,900 = ((m - 1)(m - 2))^2, the top of a 20-bit field;
+        # S_32 has one orbit on the n-subsets for every n
+        m = 32
+        full = (1 << m) - 1
+        adj = [full ^ 1 << v for v in range(m)]
+        gens = [(1, 0) + tuple(range(2, m)), tuple(range(1, m)) + (0,)]
+        expected = tuple((tuple(range(n)),) for n in range(m + 1))
+        assert _orderly_ladder(gens, adj, [1] * (m + 1)) == expected
+
+    def test_paley_two_graph_against_brute_force(self):
+        # the regular two-graph on 14 points: Paley(13) and an isolated
+        # vertex 13 standing for infinity, under PSL(2, 13), generated by
+        # x -> x + 1 and x -> -1/x; the ladder certifies every level
+        q = 13
+        squares = {x * x % q for x in range(1, q)}
+        adj = [sum(1 << b for b in range(q) if (a - b) % q in squares) for a in range(q)] + [0]
+        gens = [
+            tuple((x + 1) % q for x in range(q)) + (q,),
+            tuple(-pow(x, q - 2, q) % q if x else q for x in range(q)) + (0,),
+        ]
+        levels = _least_orbit_members(gens, q + 1)
+        assert [len(level) for level in levels] == [1, 1, 1, 2, 4, 5, 7, 10, 7, 5, 4, 2, 1, 1, 1]
+        assert _orderly_ladder(gens, adj, [len(level) for level in levels]) == levels
+
+    def test_cycle_key_falls_short_of_its_dihedral_orbits(self):
+        # the two-graph of C_9 has automorphism group D_9, whose 4 orbits on
+        # pairs are the distances 1..4; pairs at distance 3 and 4 both lie in
+        # 4 odd triples, so the key's 3 classes are refused at n = 2
+        m = 9
+        adj = [1 << (v + 1) % m | 1 << (v - 1) % m for v in range(m)]
+        gens = [tuple((v + 1) % m for v in range(m)), tuple(-v % m for v in range(m))]
+        counts = [len(level) for level in _least_orbit_members(gens, m)]
+        with pytest.raises(RuntimeError, match="n = 2: 3 key classes != 4 orbits"):
+            _orderly_ladder(gens, adj, counts)
+
+    def test_generator_check_against_brute_force(self):
+        # a generator is refused exactly when it flips some triple's parity;
+        # one that keeps every parity passes the check, so wrong counts stop
+        # the ladder at a level
+        rng = random.Random(7)
+        refused = kept = 0
+        for _ in range(300):
+            m = rng.randint(3, 7)
+            adj = [0] * m
+            for a, b in combinations(range(m), 2):
+                if rng.random() < 0.5:
+                    adj[a] |= 1 << b
+                    adj[b] |= 1 << a
+            g = rng.sample(range(m), m)
+
+            def parity(a, b, w):
+                return (adj[a] >> b ^ adj[a] >> w ^ adj[b] >> w) & 1
+
+            flips = any(parity(*t) != parity(*map(g.__getitem__, t)) for t in combinations(range(m), 3))
+            with pytest.raises(RuntimeError, match="odd triple" if flips else "n = "):
+                _orderly_ladder([g], adj, [0] * (m + 1))
+            refused += flips
+            kept += not flips
+        assert refused > 50 and kept > 50
 
 
 class TestOmegaTable:
