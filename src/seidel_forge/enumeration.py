@@ -347,10 +347,10 @@ def s_table(n_max: int = 28) -> STable:
 
 
 def brute_force_counts(n: int) -> tuple[int, int, int]:
-    """(s, s_e, omega) on n vertices by exhausting all 2^C(n,2) graphs.
+    """(s, s_e, omega) on n vertices by exhausting the switching classes.
 
-    Independent of the lattice pipeline: switching classes come from closing
-    the graph set under single-vertex switchings and relabelings, and the
+    Independent of the lattice pipeline: switching_class_representatives
+    closes the graphs that isolate vertex 0 under re-rooting, and the
     spectral conditions are exact integer linear algebra.
     """
     if not 0 <= n <= 7:

@@ -211,31 +211,27 @@ def canonical_key(G: Graph) -> SwitchingClassKey:
     return SwitchingClassKey(G.n, pack_bits(switching_form_bits(G.adj), G.n * (G.n - 1) // 2))
 
 
-def _pair_permutation(t: list[int], n: int) -> list[int]:
-    """The permutation of pair bits (in triangle_bits order) induced by the
-    vertex permutation t."""
-    top = n * (n - 1) // 2 - 1
-    perm = [0] * (top + 1)
-    for i, j in combinations(range(n), 2):
-        a, b = sorted((t[i], t[j]))
-        perm[top - pair_index(i, j, n)] = top - pair_index(a, b, n)
-    return perm
-
-
 def switching_class_representatives(n: int) -> list[int]:
     """One graph per switching class on n vertices, as triangle_bits.
 
-    Partitions all 2^(n(n-1)/2) graphs into orbits of the group generated by
-    switching at vertex 0, the transposition (0 1) and the n-cycle (together
-    they give every switching and relabelling); the representative is the
-    numerically least member.  Exponential in n; ValueError for n >= 9, whose
-    visited bitmap would pass the scan's cap.
+    Switching by N(0) isolates vertex 0, so the least member of a class has
+    its top n - 1 bits zero and the rest are the bits of a graph H on
+    vertices 1..n-1, in the same order.  The scan walks every H in order and
+    closes each orbit under re-rooting at v: switch by N(v), which isolates
+    v, then swap 0 and v.  That sends H(a, b) to H(a, b) + H(v, a) + H(v, b)
+    mod 2 and keeps H(v, a): bit {v, a} maps to every pair at a.  On the
+    two-graph it is the relabelling (0 v), and these generate all of them.
+    ValueError, before any table is built, for n >= 9: its 2^28 or more
+    graphs H pass the scan's caps.
     """
-    m = n * (n - 1) // 2
-    if n <= 1:
-        return [0]
-    swap = [1, 0] + list(range(2, n))
-    cycle = [(v + 1) % n for v in range(n)]
-    perms = [_pair_permutation(swap, n), _pair_permutation(cycle, n)]
-    switch0 = sum(1 << m - 1 - pair_index(0, v, n) for v in range(1, n))
-    return _orbit_minima(range(1 << m), m, perms, [switch0], 1 << m)
+    pairs = list(combinations(range(n - 1), 2))[::-1]  # H's bit p; vertex k is k + 1
+    at = [0] * (n - 1)  # at[a]: the bits of the pairs at a
+    for p, (a, b) in enumerate(pairs):
+        at[a] |= 1 << p
+        at[b] |= 1 << p
+    reroots = [
+        [at[a + b - v] if v in (a, b) else 1 << p for p, (a, b) in enumerate(pairs)]
+        for v in range(n - 1)
+    ]
+    m = len(pairs)
+    return _orbit_minima(range(1 << m), m, reroots, 1 << m)

@@ -41,7 +41,7 @@ __all__ = [
     "subset_orbit_transversal",
 ]
 
-_SCAN_CAP = 3_300_000  # largest binomial(m, n) the transversal scan will walk
+_SCAN_CAP = 3_300_000  # most masks an orbit scan will walk, e.g. binomial(m, n)
 _MAX_ORDER = 10_000_000  # largest group order burnside_subset_counts accepts
 _BITMAP_BITS = 28  # widest mask an orbit scan keeps a visited bitmap for (32 MiB)
 
@@ -239,9 +239,10 @@ class PermGroup:
                 for x, y in enumerate(g):
                     if x != y:
                         fixed_from[x] = j + 1
-        # orbit_of[j][x]: the member of x's G_j-orbit that walk takes, and the orbit size
-        orbit_of = []
-        for j in range(depth + 1):
+        # orbit_of[j][x], j >= 1: the member of x's G_j-orbit that walk takes,
+        # and the orbit size (walk never reads j = 0)
+        orbit_of: list = [None]
+        for j in range(1, depth + 1):
             gens = self._strong_gens_at(j)
             of: list = [None] * self.degree
             for x in range(self.degree):
@@ -406,20 +407,18 @@ def _reduced_generators(G: PermGroup) -> list[tuple[int, ...]]:
     return selected
 
 
-def _chunk_tables(gen, m: int) -> tuple[int, list[int], list[int]]:
-    """Tables that apply the bit permutation k -> gen[k] to an m-bit mask:
-    the image is low[mask & (1 << split) - 1] | high[mask >> split]."""
+def _chunk_tables(images, m: int) -> tuple[int, list[int], list[int]]:
+    """Tables that apply the linear map bit k -> images[k] (over GF(2)) to an
+    m-bit mask: the image is low[mask & (1 << split) - 1] ^ high[mask >> split]."""
     split = m // 2
-    low_bits = [1 << gen[k] for k in range(split)]
-    high_bits = [1 << gen[k + split] for k in range(m - split)]
     low = [0] * (1 << split)
     for val in range(1, 1 << split):
         lsb = val & (-val)
-        low[val] = low[val ^ lsb] | low_bits[lsb.bit_length() - 1]
+        low[val] = low[val ^ lsb] ^ images[lsb.bit_length() - 1]
     high = [0] * (1 << (m - split))
     for val in range(1, 1 << (m - split)):
         lsb = val & (-val)
-        high[val] = high[val ^ lsb] | high_bits[lsb.bit_length() - 1]
+        high[val] = high[val ^ lsb] ^ images[split + lsb.bit_length() - 1]
     return split, low, high
 
 
@@ -430,18 +429,22 @@ def _check_bitmap(bits: int) -> None:
         )
 
 
-def _orbit_minima(candidates, bits: int, perms, masks, total: int) -> list[int]:
+def _orbit_minima(candidates, bits: int, maps, total: int) -> list[int]:
     """The first candidate met in each orbit on a set of bits-bit masks.
 
-    The group is generated by the bit permutations perms and the XOR masks.
-    candidates run through the whole set in scan order; each candidate not
-    yet visited opens an orbit, which is closed by depth-first search over a
-    visited bitmap.  The scan stops once total masks, the size of the set,
-    are visited: every orbit is then closed.  ValueError, before any table
-    or bitmap is built, when the bitmap would exceed 2^_BITMAP_BITS bits.
+    The group is generated by invertible GF(2)-linear maps on the masks,
+    each given by the images of the single bits (a bit permutation g by
+    1 << g[k]).  candidates run through the whole set in scan order; each
+    candidate not yet visited opens an orbit, which is closed by depth-first
+    search over a visited bitmap.  The scan stops once total masks, the size
+    of the set, are visited: every orbit is then closed.  ValueError, before
+    any table or bitmap is built, when the bitmap would exceed
+    2^_BITMAP_BITS bits or the set _SCAN_CAP masks.
     """
     _check_bitmap(bits)
-    tables = [_chunk_tables(p, bits) for p in perms]
+    if total > _SCAN_CAP:
+        raise ValueError(f"a visited bitmap of {total} masks exceeds the scan cap of {_SCAN_CAP}")
+    tables = [_chunk_tables(images, bits) for images in maps]
     visited = bytearray((1 << bits) + 7 >> 3)
     out: list[int] = []
     seen = 0
@@ -455,13 +458,7 @@ def _orbit_minima(candidates, bits: int, perms, masks, total: int) -> list[int]:
         while stack:
             cur = stack.pop()
             for split, low, high in tables:
-                nxt = low[cur & (1 << split) - 1] | high[cur >> split]
-                if not visited[nxt >> 3] >> (nxt & 7) & 1:
-                    visited[nxt >> 3] |= 1 << (nxt & 7)
-                    seen += 1
-                    stack.append(nxt)
-            for mask in masks:
-                nxt = cur ^ mask
+                nxt = low[cur & (1 << split) - 1] ^ high[cur >> split]
                 if not visited[nxt >> 3] >> (nxt & 7) & 1:
                     visited[nxt >> 3] |= 1 << (nxt & 7)
                     seen += 1
@@ -491,5 +488,6 @@ def subset_orbit_transversal(G: PermGroup, n: int) -> list[tuple[int, ...]]:
         return [()]
     _check_bitmap(m)
     candidates = map(sum, combinations([1 << v for v in range(m)], n))
-    minima = _orbit_minima(candidates, m, _reduced_generators(G), [], comb(m, n))
+    maps = [[1 << x for x in g] for g in _reduced_generators(G)]
+    minima = _orbit_minima(candidates, m, maps, comb(m, n))
     return [tuple(v for v in range(m) if mask >> v & 1) for mask in minima]

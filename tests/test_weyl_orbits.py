@@ -80,7 +80,7 @@ def reference_transversal(G: PermGroup, n: int) -> list[tuple[int, ...]]:
     m = G.degree
     if n == 0:
         return [()]
-    tables = [_chunk_tables(g, m) for g in greedy_reduced_generators(G)]
+    tables = [_chunk_tables([1 << x for x in g], m) for g in greedy_reduced_generators(G)]
     visited = bytearray((1 << m) + 7 >> 3)
     out: list[tuple[int, ...]] = []
     for combo in combinations(range(m), n):
