@@ -9,6 +9,7 @@ path that cannot be written exits 1, also before any computation.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -25,11 +26,9 @@ from .enumeration import (
     dst_witness,
     e8_context,
     omega_table,
-    omega_table_json,
     phi,
     reps_records,
     s_table,
-    s_table_json,
     verify_cao,
     verify_fiber_n6,
 )
@@ -133,7 +132,8 @@ def cmd_omega_table(cfg: argparse.Namespace) -> int:
         ("omega", list(table.omega)),
         ("c", list(table.raw_orbit_counts)),
     ]
-    return _render(cfg, "omega-table", omega_table_json(table), records, rows)
+    payload = {"schema_version": SCHEMA_VERSION, **dataclasses.asdict(table)}
+    return _render(cfg, "omega-table", payload, records, rows)
 
 
 # -- s-table --------------------------------------------------------------
@@ -188,7 +188,8 @@ def cmd_s_table(cfg: argparse.Namespace) -> int:
         "s - omega = n - 6 (n <= 12), floor(n/2) + 1 (n >= 13): OK\n"
         if n_max >= 8 else ""
     )
-    return _render(cfg, "s-table", s_table_json(table), records, rows, footer)
+    payload = {"schema_version": SCHEMA_VERSION, **dataclasses.asdict(table)}
+    return _render(cfg, "s-table", payload, records, rows, footer)
 
 
 # -- verify ---------------------------------------------------------------

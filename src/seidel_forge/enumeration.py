@@ -59,8 +59,6 @@ __all__ = [
     "brute_force_counts",
     "verify_fiber_n6",
     "verify_cao",
-    "omega_table_json",
-    "s_table_json",
     "reps_records",
 ]
 
@@ -463,23 +461,6 @@ def verify_cao(n_max: int = 8, samples: int = 500, seed: int = 0) -> dict:
 
 
 # -- export builders ------------------------------------------------------
-
-
-def omega_table_json(table: OmegaTable) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "omega": list(table.omega),
-        "raw_orbit_counts": list(table.raw_orbit_counts),
-    }
-
-
-def s_table_json(table: STable) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "s": list(table.s),
-        "s_e": list(table.s_e),
-        "provenance": list(table.provenance),
-    }
 
 
 def reps_records(n: int) -> list[dict]:

@@ -1,11 +1,24 @@
 """Exact integer linear algebra.
 
-Everything here is exact: ranks, and the Gram determinants of
-`root_lattices`, from one fraction-free Bareiss elimination, and positive
-semidefiniteness by fraction-free LDL^T with symmetric pivoting.  No
-floating point and no fractions anywhere; Python's arbitrary-precision
-integers absorb the pivot growth (Bareiss pivots exceed 64 bits around
-order 15).
+One kernel, `_pivots`, serves `rank`, `is_psd`, `max_eig_le` and the Gram
+determinants of `root_lattices`: fraction-free (Bareiss) elimination with
+complete pivoting.  Step k pivots on d and updates the trailing block as
+A[i][j] = (d A[i][j] - A[i][k] A[k][j]) // prev, prev the previous pivot.
+
+- Exactness.  A swap at step k only reorders rows and columns not yet
+  eliminated, so the run is Bareiss elimination of one fixed permutation
+  P M Q.  By Sylvester's identity each trailing entry is a bordered leading
+  minor of P M Q, so every division is exact.  The k-th pivot is the k-th
+  leading minor: one pivot per unit of rank, and the last is +-det M at
+  full rank.
+- PSD.  While some remaining diagonal entry is positive, the largest is the
+  pivot.  The trailing block is then the Schur complement of a positive
+  definite leading block scaled by its determinant, so its signs are the
+  rational ones.  Symmetric M is PSD iff that block is zero once no
+  diagonal entry is positive: PSD forces 2|a_ij| <= a_ii + a_jj.
+
+No floating point and no fractions; Python's arbitrary-precision integers
+absorb the pivot growth (pivots exceed 64 bits around order 15).
 """
 from __future__ import annotations
 
@@ -60,63 +73,30 @@ class IntMatrix:
         return IntMatrix.from_rows([c * x for x in row] for row in self.rows)
 
 
-def _bareiss_pivots(rows) -> list[int]:
-    """Pivots of fraction-free Bareiss elimination of a square integer matrix.
+def _pivots(rows) -> tuple[list[int], bool]:
+    """Fraction-free elimination with complete pivoting: (pivots, PSD verdict).
 
-    There is one pivot per unit of rank.  At full rank the last pivot is the
-    determinant up to the sign of the row swaps.
+    The largest remaining diagonal entry is the pivot while it is positive;
+    after that any nonzero entry of the trailing block is, and a symmetric
+    matrix is not PSD.  Elimination stops when the trailing block is zero.
     """
     A = [list(row) for row in rows]
     n = len(A)
     pivots: list[int] = []
-    prev = 1
-    for col in range(n):
-        r = len(pivots)
-        pivot_row = next((i for i in range(r, n) if A[i][col] != 0), None)
-        if pivot_row is None:
-            continue
-        A[r], A[pivot_row] = A[pivot_row], A[r]
-        for i in range(r + 1, n):
-            for j in range(col + 1, n):
-                A[i][j] = (A[r][col] * A[i][j] - A[i][col] * A[r][j]) // prev
-            A[i][col] = 0
-        prev = A[r][col]
-        pivots.append(prev)
-    return pivots
-
-
-def rank(M: IntMatrix) -> int:
-    """Rank over the rationals: the number of Bareiss pivots."""
-    return len(_bareiss_pivots(M.rows))
-
-
-def is_psd(M: IntMatrix) -> bool:
-    """Positive semidefiniteness by fraction-free LDL^T with symmetric pivoting.
-
-    Each step pivots on the largest remaining diagonal entry d and updates
-    the trailing block as A[i][j] = (d A[i][j] - A[i][k] A[k][j]) // prev,
-    prev the previous pivot.  Every entry is then the rational LDL^T entry
-    scaled by a positive leading principal minor (Sylvester's identity makes
-    the division exact), so pivot choices, signs and zeros are the rational
-    ones.  A negative pivot refutes PSD.  When every remaining diagonal entry
-    is zero, PSD forces the whole remaining block to vanish (2|a_ij| <=
-    a_ii + a_jj), so any leftover off-diagonal entry refutes it too.
-    """
-    n = M.n
-    A = [list(row) for row in M.rows]
+    psd = True
     prev = 1
     for k in range(n):
-        p = max(range(k, n), key=lambda i: A[i][i])
-        if A[p][p] < 0:
-            return False
-        if A[p][p] == 0:
-            return all(
-                A[i][j] == 0 for i in range(k, n) for j in range(k, n)
-            )
-        if p != k:
-            A[k], A[p] = A[p], A[k]
+        p = q = max(range(k, n), key=lambda i: A[i][i])
+        if A[p][p] <= 0:
+            at = next(((i, j) for i in range(k, n) for j in range(k, n) if A[i][j]), None)
+            if at is None:
+                break
+            p, q = at
+            psd = False
+        A[k], A[p] = A[p], A[k]
+        if q != k:
             for row in A:
-                row[k], row[p] = row[p], row[k]
+                row[k], row[q] = row[q], row[k]
         Ak = A[k]
         d = Ak[k]
         for i in range(k + 1, n):
@@ -125,7 +105,18 @@ def is_psd(M: IntMatrix) -> bool:
             for j in range(k + 1, n):
                 Ai[j] = (d * Ai[j] - f * Ak[j]) // prev
         prev = d
-    return True
+        pivots.append(d)
+    return pivots, psd
+
+
+def rank(M: IntMatrix) -> int:
+    """Rank over the rationals: the number of pivots."""
+    return len(_pivots(M.rows)[0])
+
+
+def is_psd(M: IntMatrix) -> bool:
+    """True iff symmetric M is positive semidefinite (exactly)."""
+    return _pivots(M.rows)[1]
 
 
 def max_eig_le(M: IntMatrix, bound: int) -> bool:

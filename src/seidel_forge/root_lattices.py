@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import product
 from operator import mul
 
-from .exact_linalg import _bareiss_pivots
+from .exact_linalg import _pivots
 
 __all__ = [
     "RootVector",
@@ -323,11 +323,10 @@ def generates(vectors, spec: LatticeSpec) -> bool:
 def gram_determinant(vectors) -> int:
     """Determinant of the Gram matrix of the vectors, 0 if they are dependent.
 
-    A Gram matrix is positive semidefinite, so at full rank its determinant
-    is the absolute value of the last Bareiss pivot.
+    At full rank the determinant is the absolute value of the last pivot.
     """
     vecs = list(vectors)
-    pivots = _bareiss_pivots([[inner(u, v) for v in vecs] for u in vecs])
+    pivots, _ = _pivots([[inner(u, v) for v in vecs] for u in vecs])
     if len(pivots) < len(vecs):
         return 0
     return abs(pivots[-1]) if pivots else 1

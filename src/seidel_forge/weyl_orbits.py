@@ -138,8 +138,8 @@ class PermGroup:
                     lvl.inverses[y] = _inverse(u)
                     queue.append(y)
 
-    def _sift(self, g: tuple[int, ...], start: int) -> tuple[tuple[int, ...], int]:
-        """Strip g through levels >= start; returns (residue, stop_level)."""
+    def _sift(self, g: tuple[int, ...], start: int) -> tuple[int, ...]:
+        """Strip g through levels >= start; returns the residue."""
         for i in range(start, len(self._levels)):
             lvl = self._levels[i]
             x = g[lvl.point]
@@ -147,9 +147,9 @@ class PermGroup:
                 continue
             u_inv = lvl.inverses.get(x)
             if u_inv is None:
-                return g, i
+                return g
             g = _compose(u_inv, g)
-        return g, len(self._levels)
+        return g
 
     def _store(self, g: tuple[int, ...]) -> int:
         """Store a non-identity residue at its level, extending the base."""
@@ -169,7 +169,7 @@ class PermGroup:
         for i in range(len(self._levels)):
             self._recompute_transversal(i)
         for g in self._raw_gens:
-            residue, _ = self._sift(g, 0)
+            residue = self._sift(g, 0)
             if residue != identity:
                 self._store(residue)
         i = len(self._levels) - 1
@@ -193,7 +193,7 @@ class PermGroup:
                 schreier = _compose(lvl.inverses[g[lvl.point]], g)
                 if schreier == identity:
                     continue
-                residue, _ = self._sift(schreier, i + 1)
+                residue = self._sift(schreier, i + 1)
                 if residue != identity:
                     return self._store(residue)
         return None

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, formats, determinism, ledger output."""
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -267,6 +268,44 @@ class TestReps:
         assert run(capsys, "reps", "--n", "bogus")[0] == 2
         assert run(capsys, "reps", "--n", "3", "--no-meta") == first
         assert first[0] == 0 and first[1]
+
+
+class TestGoldenBytes:
+    # sha256 of the --no-meta stdout; the tables, the ranks and the lattice
+    # families of these outputs stay byte-identical across refactors
+    GOLDEN = {
+        "omega-table json":
+            "742e8765478cf4b80488548016c884dc857691357d36041abac9eb0b50cb549c",
+        "omega-table jsonl":
+            "2cbb5ad28f070cc18c933dc03e020e0cf7688a171d98f29a7a7ed9c4bc2e16a7",
+        "omega-table text-table":
+            "c16b5c35247c9fec775465eb24905090fcdac142fc3f3875e21103426c22e1a7",
+        "s-table --n-max 28 json":
+            "8217405a940c292a138db8956ff7bccba99eff448b1f2f22df54eca05a54e54c",
+        "s-table --n-max 28 jsonl":
+            "8e104f8f3ccd6bbc7441899e8c8155dbf1b16da8cf11e8b6ee803d484a0215e3",
+        "s-table --n-max 28 text-table":
+            "15eb398336cda822f698b380d10230d334930506bb27609a32df423e8723ef98",
+        "reps --n 0..28 jsonl":
+            "49bee949759c4c8823c0a574778ff48f0c8a99e945368e556f09df54f7c4a307",
+    }
+
+    def test_no_meta_outputs_golden_digests(self, capsys):
+        def digest(*argvs):
+            h = hashlib.sha256()
+            for argv in argvs:
+                code, out, err = run(capsys, *argv, "--no-meta")
+                assert (code, err) == (0, "")
+                h.update(out.encode())
+            return h.hexdigest()
+
+        got = {
+            f"{cmd} {fmt}": digest([*cmd.split(), "--format", fmt])
+            for cmd in ("omega-table", "s-table --n-max 28")
+            for fmt in ("json", "jsonl", "text-table")
+        }
+        got["reps --n 0..28 jsonl"] = digest(*(["reps", "--n", str(k)] for k in range(29)))
+        assert got == self.GOLDEN
 
 
 class TestOutputPathHandling:

@@ -20,12 +20,10 @@ from seidel_forge.enumeration import (
     e8_context,
     kn_witness,
     omega_table,
-    omega_table_json,
     phi,
     phi_graph,
     reps_records,
     s_table,
-    s_table_json,
     verify_cao,
     verify_fiber_n6,
 )
@@ -472,7 +470,3 @@ class TestExports:
         valid = {f"A{k}" for k in range(1, 9)} | {f"D{k}" for k in range(4, 9)}
         valid |= {"E6", "E7", "E8"}
         assert families <= valid
-
-    def test_json_schemas(self):
-        assert omega_table_json(omega_table())["schema_version"] == 1
-        assert s_table_json(s_table(3))["schema_version"] == 1

@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from seidel_forge.exact_linalg import (
     IntMatrix,
+    _pivots,
     is_psd,
     max_eig_le,
     rank,
@@ -137,6 +138,30 @@ class TestRank:
     @given(st.one_of(square_matrices(), symmetric_matrices()))
     def test_matches_sympy(self, M):
         assert rank(M) == _sympy_of(M).rank()
+
+
+class TestPivots:
+    def test_pivot_rules(self):
+        # a zero trailing block stops the elimination at once
+        zero = IntMatrix.from_rows([[0] * 3] * 3)
+        assert rank(zero) == 0
+        assert is_psd(zero)
+        # no positive diagonal entry, so the pivot is off the diagonal
+        assert rank(IntMatrix.from_rows([[0, 1], [0, 0]])) == 1
+        swap = IntMatrix.from_rows([[0, 1], [1, 0]])
+        assert rank(swap) == 2
+        assert not is_psd(swap)
+
+    @settings(max_examples=140, deadline=None)
+    @given(st.one_of(square_matrices(), symmetric_matrices()))
+    def test_last_pivot_is_the_determinant(self, M):
+        # the divisions are exact under complete pivoting: at full rank the
+        # last pivot is the determinant of M up to the sign of the swaps
+        det = _sympy_of(M).det()
+        assume(det != 0)
+        pivots, _ = _pivots(M.rows)
+        assert len(pivots) == M.n
+        assert abs(pivots[-1]) == abs(det)
 
 
 class TestIntPolynomial:
