@@ -9,11 +9,9 @@ path that cannot be written exits 1, also before any computation.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
-from datetime import datetime, timezone
 from functools import lru_cache
 
 from .canon import canonical_form_bits
@@ -32,7 +30,7 @@ from .enumeration import (
     verify_cao,
     verify_fiber_n6,
 )
-from .exact_linalg import is_psd, rank
+from .exact_linalg import _pivots
 from .root_lattices import n_r, roots
 from .seidel_core import Graph, canonical_key
 from .weyl_orbits import (
@@ -85,7 +83,10 @@ def _render(cfg: argparse.Namespace, kind: str, payload: dict, records: list[dic
     file: payload as json; a header line and one line per record as jsonl;
     rows as an aligned table with n along the columns, then footer, as
     text-table.  A failed write raises OSError, which main reports."""
-    stamp = None if cfg.no_meta else datetime.now(timezone.utc).isoformat(timespec="seconds")
+    stamp = None
+    if not cfg.no_meta:  # imported here, so --no-meta runs never load datetime
+        from datetime import datetime, timezone
+        stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
     if cfg.fmt == "json":
         if stamp:
             payload = {**payload, "meta": {"generated_at": stamp}}
@@ -132,7 +133,7 @@ def cmd_omega_table(cfg: argparse.Namespace) -> int:
         ("omega", list(table.omega)),
         ("c", list(table.raw_orbit_counts)),
     ]
-    payload = {"schema_version": SCHEMA_VERSION, **dataclasses.asdict(table)}
+    payload = {"schema_version": SCHEMA_VERSION, **table._asdict()}
     return _render(cfg, "omega-table", payload, records, rows)
 
 
@@ -188,7 +189,7 @@ def cmd_s_table(cfg: argparse.Namespace) -> int:
         "s - omega = n - 6 (n <= 12), floor(n/2) + 1 (n >= 13): OK\n"
         if n_max >= 8 else ""
     )
-    payload = {"schema_version": SCHEMA_VERSION, **dataclasses.asdict(table)}
+    payload = {"schema_version": SCHEMA_VERSION, **table._asdict()}
     return _render(cfg, "s-table", payload, records, rows, footer)
 
 
@@ -262,11 +263,11 @@ def _check_lem_sd(cfg: argparse.Namespace) -> tuple[list[str], str]:
             if canonical_form_bits(w.graph.adj) != canonical_form_bits(target.adj):
                 problems.append(f"({n}, {m}): graph is not D_{m - 2},{n - m + 2}")
                 continue
-            M = _three_i_minus_s(w.graph)
-            rk = rank(M)
+            pivots, psd = _pivots(_three_i_minus_s(w.graph).rows)
+            rk = len(pivots)
             if rk != m - 1:
                 problems.append(f"({n}, {m}): rank {rk} != {m - 1}")
-            if not is_psd(M):
+            if not psd:
                 problems.append(f"({n}, {m}): lambda_max > 3")
             if (rk < n) != (n >= m):
                 problems.append(f"({n}, {m}): eigenvalue-3 boundary wrong")

@@ -9,10 +9,11 @@ n = 6, and independent brute-force and random-graph cross-checks.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
+from typing import NamedTuple
 
-from .exact_linalg import IntMatrix, is_psd, max_eig_le, rank
+from .exact_linalg import IntMatrix, _pivots, is_psd, max_eig_le, rank
 from .root_lattices import (
     LatticeSpec,
     PairClass,
@@ -65,8 +66,7 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True, eq=False)
-class E8Context:
+class E8Context(NamedTuple):
     """The E_8 pipeline fixture: the switching root r, the 28 pair-classes,
     image, the group that the stabilizer of r in W(E_8) induces on them, and
     graph, the class graph: A + 2I is the representatives' Gram matrix."""
@@ -80,18 +80,24 @@ class E8Context:
 
 @lru_cache(maxsize=1)
 def e8_context() -> E8Context:
-    """Build the context; image is generated by the 63 reflections s_v with
-    (v, r) = 0, which generate the stabilizer of r (Steinberg; Humphreys,
-    Reflection Groups and Coxeter Groups, Thm 1.12).  Each fixes r, so it
-    maps the class of u to the class of s_v(u)."""
+    """Build the context; image is generated by the 7 simple reflections of
+    the roots v with (v, r) = 0, an E_7.  They generate the group its 63
+    reflections do, the stabilizer of r (Humphreys, Reflection Groups and
+    Coxeter Groups, Thm 1.5; Steinberg, Thm 1.12).  Each fixes r, so it maps
+    the class of u to the class of s_v(u).  Weights 16^7..16^0 on coords2 give
+    a functional nonzero on the roots and one-to-one on their differences: it
+    picks the positive roots; v is simple iff no positive u has v - u positive."""
     spec = LatticeSpec("E", 8)
     r = standard_switching_root(spec)
     classes = pair_classes(spec, r)
     class_of = {m.coords2: i for i, c in enumerate(classes) for m in c.members()}
+    weights = [16 ** k for k in range(7, -1, -1)]
+    positive = {x: v for v in roots(spec)
+                if (x := sum(map(mul, weights, v.coords2))) > 0 and inner(v, r) == 0}
     gens = [
         tuple(class_of[reflect(v, c.u).coords2] for c in classes)
-        for v in roots(spec)
-        if inner(v, r) == 0 and v.coords2 > (-v).coords2  # s_v = s_{-v}
+        for x, v in positive.items()
+        if not any(x - y in positive for y in positive)
     ]
     graph = gram_to_graph([c.u for c in classes])
     return E8Context(spec, r, classes, PermGroup(len(classes), gens), graph)
@@ -199,8 +205,7 @@ def phi(subset) -> SwitchingClassKey:
     return canonical_key(phi_graph(subset))
 
 
-@dataclass(frozen=True)
-class OmegaTable:
+class OmegaTable(NamedTuple):
     """omega(n) = switching classes on n vertices with lambda_max <= 3 and
     rank(3I - S) <= 7; raw_orbit_counts are the subset-orbit counts c(n)."""
 
@@ -224,8 +229,7 @@ def omega_table() -> OmegaTable:
     return OmegaTable(tuple(omega), tuple(c))
 
 
-@dataclass(frozen=True)
-class FamilyWitness:
+class FamilyWitness(NamedTuple):
     """Root-lattice witness of a one-class family: the vectors, the switching
     root, the graph of the Gram matrix, and its switching-class key."""
 
@@ -294,8 +298,7 @@ def _d_range(n: int) -> range:
     return range(max(9, -(-n // 2) + 2), n + 2)
 
 
-@dataclass(frozen=True)
-class STable:
+class STable(NamedTuple):
     """s(n) = all switching classes with lambda_max <= 3; s_e(n) = those with
     eigenvalue exactly 3; provenance describes each row's composition."""
 
@@ -355,11 +358,11 @@ def brute_force_counts(n: int) -> tuple[int, int, int]:
         raise ValueError("brute force supports n <= 7 only")
     s = s_e = omega = 0
     for packed in switching_class_representatives(n):
-        M = _three_i_minus_s(Graph.from_triangle_bits(n, packed))
-        if not is_psd(M):  # lambda_max(S) <= 3
+        pivots, psd = _pivots(_three_i_minus_s(Graph.from_triangle_bits(n, packed)).rows)
+        if not psd:  # lambda_max(S) <= 3
             continue
         s += 1
-        rk = rank(M)
+        rk = len(pivots)
         if rk < n:
             s_e += 1
         if rk <= 7:

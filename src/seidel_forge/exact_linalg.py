@@ -22,7 +22,7 @@ absorb the pivot growth (pivots exceed 64 bits around order 15).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "IntMatrix",
@@ -32,16 +32,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(NamedTuple("IntMatrix", [("rows", tuple[tuple[int, ...], ...])])):
     """Square matrix with arbitrary-precision integer entries."""
 
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        n = len(self.rows)
-        if any(len(row) != n for row in self.rows):
+    def __new__(cls, rows: tuple[tuple[int, ...], ...]) -> "IntMatrix":
+        n = len(rows)
+        if any(len(row) != n for row in rows):
             raise ValueError("matrix must be square")
+        return super().__new__(cls, rows)
 
     @property
     def n(self) -> int:

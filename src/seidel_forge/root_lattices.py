@@ -11,10 +11,10 @@ orthogonal complements in E_8.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from operator import mul
+from typing import NamedTuple
 
 from .exact_linalg import _pivots
 
@@ -40,8 +40,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RootVector:
+class RootVector(NamedTuple):
     """Lattice vector stored as doubled integer coordinates."""
 
     coords2: tuple[int, ...]
@@ -81,25 +80,24 @@ def reflect(r: RootVector, x: RootVector) -> RootVector:
     return RootVector(tuple(a - c * b for a, b in zip(x.coords2, r.coords2)))
 
 
-@dataclass(frozen=True)
-class LatticeSpec:
+class LatticeSpec(NamedTuple("LatticeSpec", [("family", str), ("rank", int)])):
     """One of the root lattices A_n (n>=1), D_n (n>=4), E_6/E_7/E_8."""
 
-    family: str
-    rank: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.family == "A":
-            if self.rank < 1:
+    def __new__(cls, family: str, rank: int) -> "LatticeSpec":
+        if family == "A":
+            if rank < 1:
                 raise ValueError("A_n requires n >= 1")
-        elif self.family == "D":
-            if self.rank < 4:
+        elif family == "D":
+            if rank < 4:
                 raise ValueError("D_n requires n >= 4")
-        elif self.family == "E":
-            if self.rank not in (6, 7, 8):
+        elif family == "E":
+            if rank not in (6, 7, 8):
                 raise ValueError("E_n requires n in {6, 7, 8}")
         else:
             raise ValueError("family must be one of 'A', 'D', 'E'")
+        return super().__new__(cls, family, rank)
 
     @property
     def ambient_dim(self) -> int:
@@ -204,16 +202,15 @@ def n_r(spec: LatticeSpec, r: RootVector) -> tuple[RootVector, ...]:
     return tuple(u for u in all_roots if inner(u, r) == 1)
 
 
-@dataclass(frozen=True)
-class PairClass:
+class PairClass(NamedTuple("PairClass", [("u", RootVector), ("r", RootVector)])):
     """The unordered pair {u, r - u} for u in N_r(L), keyed by its lex-least member."""
 
-    u: RootVector
-    r: RootVector
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if inner(self.u, self.r) != 1:
+    def __new__(cls, u: RootVector, r: RootVector) -> "PairClass":
+        if inner(u, r) != 1:
             raise ValueError("class member must satisfy (u, r) = 1")
+        return super().__new__(cls, u, r)
 
     @property
     def partner(self) -> RootVector:

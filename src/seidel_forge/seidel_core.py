@@ -7,8 +7,8 @@ here is a total invariant: equal keys iff switching equivalent.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .canon import _packed_form, pack_bits, switching_form_bits
 from .exact_linalg import IntMatrix
@@ -35,28 +35,27 @@ def pair_index(i: int, j: int, n: int) -> int:
     return i * (2 * n - i - 1) // 2 + (j - i - 1)
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(NamedTuple("Graph", [("n", int), ("adj", tuple[int, ...])])):
     """Simple undirected graph on n <= 32 vertices; adj[v] is a bitmask."""
 
-    n: int
-    adj: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.n <= MAX_VERTICES:
+    def __new__(cls, n: int, adj: tuple[int, ...]) -> "Graph":
+        if not 0 <= n <= MAX_VERTICES:
             raise ValueError(f"vertex count must be in 0..{MAX_VERTICES}")
-        if len(self.adj) != self.n:
+        if len(adj) != n:
             raise ValueError("adjacency length must equal n")
-        full = (1 << self.n) - 1
-        for v, row in enumerate(self.adj):
+        full = (1 << n) - 1
+        for v, row in enumerate(adj):
             if row & ~full:
                 raise ValueError("adjacency bits out of range")
             if row >> v & 1:
                 raise ValueError("loops are not allowed")
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if (self.adj[i] >> j & 1) != (self.adj[j] >> i & 1):
+        for i in range(n):
+            for j in range(i + 1, n):
+                if (adj[i] >> j & 1) != (adj[j] >> i & 1):
                     raise ValueError("adjacency must be symmetric")
+        return super().__new__(cls, n, adj)
 
     @staticmethod
     def from_edges(n: int, edges) -> "Graph":
@@ -137,8 +136,7 @@ class Graph:
         return Graph(self.n, tuple(adj))
 
 
-@dataclass(frozen=True)
-class SwitchingClassKey:
+class SwitchingClassKey(NamedTuple):
     """Canonical identifier of a switching class.
 
     key holds the packed upper triangle of the canonical representative;

@@ -1,5 +1,4 @@
 """Command-line interface: exit codes, formats, determinism, ledger output."""
-import dataclasses
 import hashlib
 import json
 import os
@@ -203,11 +202,12 @@ class TestVerify:
             "n = 0..28; the n = 6 fiber is exactly {two orbits} over [S(K_6)]\n"
         )
 
-    @pytest.mark.parametrize("k", [0, 3])
+    @pytest.mark.parametrize("k", [0, 3, 6])
     def test_lem_a_fails_on_a_proper_subgroup(self, capsys, monkeypatch, k):
-        # the W(E_8) route catches an image built from too few reflections
+        # the W(E_8) route catches an image built from too few reflections:
+        # any 6 of the 7 simple reflections generate a proper parabolic subgroup
         ctx = e8_context()
-        small = dataclasses.replace(ctx, image=PermGroup(28, ctx.image.generators[:k]))
+        small = ctx._replace(image=PermGroup(28, ctx.image.generators[:k]))
         monkeypatch.setattr(cli, "e8_context", lambda: small)
         code, out, _ = run(capsys, "verify", "--only", "lem:A")
         assert code == 1
@@ -352,14 +352,31 @@ class TestOutputPathHandling:
         assert json.loads(lines[0])["count"] == len(lines) - 1
 
 
-@pytest.mark.parametrize("module", ["seidel_forge", "seidel_forge.cli"])
-def test_python_dash_m_runs_the_cli(module):
+def _run_python(*args):
+    """A fresh interpreter with the package's source on its path."""
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", module, "reps", "--n", "29"],
-        capture_output=True, text=True, env=env, timeout=60, check=False,
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60, check=False,
     )
+
+
+@pytest.mark.parametrize("module", ["seidel_forge", "seidel_forge.cli"])
+def test_python_dash_m_runs_the_cli(module):
+    proc = _run_python("-m", module, "reps", "--n", "29")
     assert proc.returncode == 2
     assert "0..28" in proc.stderr
+
+
+def test_cold_start_skips_slow_imports():
+    # dataclasses pulls in inspect, ast and dis; datetime serves timestamps only
+    proc = _run_python("-c", (
+        "import sys\n"
+        "from seidel_forge import cli\n"
+        "assert cli.main(['omega-table', '--no-meta']) == 0\n"
+        "print(sorted({'dataclasses', 'inspect', 'datetime'} & set(sys.modules)), file=sys.stderr)\n"
+    ))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("n ")
+    assert proc.stderr == "[]\n"

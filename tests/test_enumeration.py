@@ -1,5 +1,4 @@
 """The class-subset-to-switching-class map and the counting pipeline."""
-import dataclasses
 import hashlib
 import random
 from itertools import combinations
@@ -28,7 +27,14 @@ from seidel_forge.enumeration import (
     verify_fiber_n6,
 )
 from seidel_forge.exact_linalg import IntMatrix, max_eig_le, rank
-from seidel_forge.root_lattices import RootVector, gram_to_graph
+from seidel_forge.root_lattices import (
+    RootVector,
+    gram_determinant,
+    gram_to_graph,
+    inner,
+    reflect,
+    roots,
+)
 from seidel_forge.seidel_core import Graph, canonical_key, seidel_of_graph, switch
 from seidel_forge.weyl_orbits import _compose
 
@@ -47,13 +53,30 @@ def _random_word(gens, rng):
 
 class TestE8Context:
     def test_image_from_reflections_fixing_r(self):
-        # one involution of the 28 classes per reflection s_v, (v, r) = 0
+        # the image on the classes of each reflection s_v, (v, r) = 0, keyed to
+        # its lexicographically positive root v (s_v = s_{-v})
         ctx = e8_context()
-        assert [f.name for f in dataclasses.fields(ctx)] == ["spec", "r", "classes", "image", "graph"]
+        assert ctx._fields == ("spec", "r", "classes", "image", "graph")
+        identity = tuple(range(28))
+        class_of = {m.coords2: i for i, c in enumerate(ctx.classes) for m in c.members()}
+        root_of = {
+            tuple(class_of[reflect(v, c.u).coords2] for c in ctx.classes): v
+            for v in roots(ctx.spec)
+            if inner(v, ctx.r) == 0 and v.coords2 > (-v).coords2
+        }
+        assert len(root_of) == 63  # distinct reflections act differently
         gens = ctx.image.generators
-        assert len(gens) == 63
-        assert all(_compose(g, g) == tuple(range(28)) for g in gens)
+        assert len(gens) == 7
+        assert all(g != identity and _compose(g, g) == identity for g in gens)
+        # a simple system of E_7: a Cartan matrix with Gram determinant 2
+        simple = [root_of[g] for g in gens]
+        for i, u in enumerate(simple):
+            for j, v in enumerate(simple):
+                assert inner(u, v) == 2 if i == j else inner(u, v) in (0, -1)
+        assert gram_determinant(simple) == 2
         assert ctx.image.order() == 1451520
+        # the 7 generate every reflection fixing r
+        assert all(ctx.image._sift(g, 0) == identity for g in root_of)
 
 
 class TestPhi:
