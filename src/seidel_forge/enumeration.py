@@ -86,7 +86,16 @@ def e8_context() -> E8Context:
     Coxeter Groups, Thm 1.5; Steinberg, Thm 1.12).  Each fixes r, so it maps
     the class of u to the class of s_v(u).  Weights 16^7..16^0 on coords2 give
     a functional nonzero on the roots and one-to-one on their differences: it
-    picks the positive roots; v is simple iff no positive u has v - u positive."""
+    picks the positive roots; v is simple iff no positive u has v - u positive.
+
+    The base of image's chain comes from the two-graph of graph, whose odd
+    triples the group keeps: 0, 1, the least b2 with {0, 1, b2} odd, then
+    the first four of the five c with {0, 1, c} odd and {0, b2, c},
+    {1, b2, c} even.  The triple's pointwise stabilizer is S_5, with orbits
+    10 + 5 + 5 + 5 on the other classes, and those c are one orbit of 5, so
+    the basic orbits are 28, 27, 16, 5, 4, 3, 2.  cycle_type_counts then
+    walks 526 leaves; the first-moved-point base continues with S_5 on the
+    orbit of 10 (basic orbits 28, 27, 16, 10, 6, 2) and walks 2,456."""
     spec = LatticeSpec("E", 8)
     r = standard_switching_root(spec)
     classes = pair_classes(spec, r)
@@ -100,7 +109,15 @@ def e8_context() -> E8Context:
         if not any(x - y in positive for y in positive)
     ]
     graph = gram_to_graph([c.u for c in classes])
-    return E8Context(spec, r, classes, PermGroup(len(classes), gens), graph)
+    adj, m = graph.adj, len(classes)
+
+    def odd(a: int, b: int, c: int) -> int:
+        return (adj[a] >> b ^ adj[a] >> c ^ adj[b] >> c) & 1
+
+    b2 = next(c for c in range(m) if odd(0, 1, c))
+    five = [c for c in range(b2 + 1, m) if odd(0, 1, c) and not odd(0, b2, c) and not odd(1, b2, c)]
+    image = PermGroup(m, gens, base_prefix=(0, 1, b2, *five[:4]))
+    return E8Context(spec, r, classes, image, graph)
 
 
 def _orderly_ladder(gens, adj, counts) -> tuple[tuple[tuple[int, ...], ...], ...]:

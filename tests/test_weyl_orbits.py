@@ -125,6 +125,14 @@ class TestPermutation:
         assert _cycle_type((1, 0, 2, 4, 3)) == (1, 2, 2)
         assert _cycle_type((0, 1, 2)) == (1, 1, 1)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 32).flatmap(lambda n: st.permutations(range(n))))
+    def test_cycle_type_matches_sympy(self, images):
+        # an oracle that shares no code with the walk or its full-walk check
+        structure = SymPerm(list(images)).cycle_structure
+        expected = tuple(l for l in sorted(structure) for _ in range(structure[l]))
+        assert _cycle_type(tuple(images)) == expected
+
 
 @st.composite
 def perm_groups(draw):
@@ -254,8 +262,11 @@ class TestPermGroup:
             assert sum(counts.values()) == G.order()
 
     def test_walk_on_e8_image_stays_reduced(self, monkeypatch):
-        # the reduced walk reaches 2,456 leaves of the 1,451,520 elements; a
-        # fall-back to a wider walk would reach more
+        # on the base taken from the two-graph the reduced walk reaches 526
+        # leaves of the 1,451,520 elements; a fall-back to a wider walk, or to
+        # the first-moved-point base, would reach more
+        image = e8_context().image
+        assert [len(lvl.transversal) for lvl in image._levels] == [28, 27, 16, 5, 4, 3, 2]
         calls = []
 
         def counted(p):
@@ -263,9 +274,18 @@ class TestPermGroup:
             return _cycle_type(p)
 
         monkeypatch.setattr(weyl_orbits, "_cycle_type", counted)
-        counts = e8_context().image.cycle_type_counts()
+        counts = image.cycle_type_counts()
         assert sum(counts.values()) == 1451520
-        assert len(calls) <= 2456
+        assert len(calls) <= 526
+
+    def test_e8_image_counts_do_not_depend_on_the_base(self):
+        # the first-moved-point base walks 2,456 leaves, not 526, to the same
+        # cycle types and subset orbit counts
+        image = e8_context().image
+        first_moved = PermGroup(28, image.generators)
+        assert [len(lvl.transversal) for lvl in first_moved._levels] == [28, 27, 16, 10, 6, 2]
+        assert first_moved.cycle_type_counts() == image.cycle_type_counts()
+        assert burnside_subset_counts(first_moved) == burnside_subset_counts(image)
 
 
 class TestWeylGroups:
