@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from seidel_forge import cli, root_lattices
+from seidel_forge import cli, enumeration, ledger, root_lattices
 from seidel_forge.cli import TABLE2_S, TABLE2_SE, TABLE3_OMEGA, main
 from seidel_forge.enumeration import e8_context
 from seidel_forge.weyl_orbits import PermGroup
@@ -208,7 +208,7 @@ class TestVerify:
         # any 6 of the 7 simple reflections generate a proper parabolic subgroup
         ctx = e8_context()
         small = ctx._replace(image=PermGroup(28, ctx.image.generators[:k]))
-        monkeypatch.setattr(cli, "e8_context", lambda: small)
+        monkeypatch.setattr(ledger, "e8_context", lambda: small)
         code, out, _ = run(capsys, "verify", "--only", "lem:A")
         assert code == 1
         assert out.startswith("[FAIL] lem:A")
@@ -216,11 +216,56 @@ class TestVerify:
 
     def test_lem_a_counts_the_roots_it_is_given(self, capsys, monkeypatch):
         # 28 classes of 2 members each would be 56 whatever n_r returned
-        monkeypatch.setattr(cli, "n_r", lambda spec, r: root_lattices.n_r(spec, r)[1:])
+        monkeypatch.setattr(ledger, "n_r", lambda spec, r: root_lattices.n_r(spec, r)[1:])
         code, out, _ = run(capsys, "verify", "--only", "lem:A")
         assert code == 1
         assert out.startswith("[FAIL] lem:A")
         assert "55 roots with (u, r) = 1 != 56" in out
+
+    # one planted fault per check: (check, ledger name, fake, FAIL detail)
+    PLANTED = [
+        ("thm:Cao", "verify_cao", lambda n_max, samples, seed: {
+            **enumeration.verify_cao(n_max, samples, seed), "failures": [{"detail": "planted"}]},
+         "1 failures"),
+        ("lem:S(A)", "construct_Kn_class",
+         lambda n: enumeration.construct_Kn_class(4 if n == 5 else n), "K_n mismatch at n = 5"),
+        ("lem:S(D)", "dst_witness",
+         lambda n, m: enumeration.dst_witness(7 if (n, m) == (8, 6) else n, m),
+         "(8, 6): graph is not D_4,4"),
+        ("thm:sym", "verify_fiber_n6",
+         lambda: {**enumeration.verify_fiber_n6(), "failures": ["planted fiber failure"]},
+         "planted fiber failure"),
+        ("cor:sym", "omega_table", lambda: enumeration.omega_table()._replace(
+            omega=tuple(9 if n == 22 else w for n, w in enumerate(enumeration.omega_table().omega))),
+         "omega(6) + 1 = 10 != omega(22) = 9"),
+        ("cor:Sn", "s_table", lambda n_max: enumeration.s_table(n_max)._replace(
+            s_e=tuple(v + (n == 10) for n, v in enumerate(enumeration.s_table(n_max).s_e))),
+         "s(10) != s_e(10) + 2"),
+        ("oracle", "brute_force_counts",
+         lambda n: (0, 0, 0) if n == 3 else enumeration.brute_force_counts(n),
+         "n = 3: brute force (0, 0, 0) != pipeline (2, 0, 2)"),
+    ]
+
+    @pytest.mark.parametrize("name, attr, fake, detail", PLANTED, ids=[p[0] for p in PLANTED])
+    def test_planted_fault_fails_its_check(self, capsys, monkeypatch, name, attr, fake, detail):
+        monkeypatch.setattr(ledger, attr, fake)
+        code, out, _ = run(capsys, "verify", "--only", name)
+        assert code == 1
+        assert out == f"[FAIL] {name}  {detail}\n"
+
+    def test_one_run_computes_the_n6_fiber_once(self, capsys, monkeypatch):
+        # lem:A reads its min norms and thm:sym its failures from one report
+        calls = []
+
+        def counted():
+            calls.append(None)
+            return enumeration.verify_fiber_n6()
+
+        monkeypatch.setattr(ledger, "verify_fiber_n6", counted)
+        code, out, _ = run(capsys, "verify", "--samples", "20", "--n-max", "2")
+        assert code == 0
+        assert [line.split()[1] for line in out.splitlines()] == list(ledger.CHECK_NAMES)
+        assert len(calls) == 1
 
 
 class TestReps:
@@ -369,13 +414,23 @@ def test_python_dash_m_runs_the_cli(module):
     assert "0..28" in proc.stderr
 
 
+def test_package_import_skips_the_cli_and_the_ledger():
+    proc = _run_python("-c", (
+        "import sys, seidel_forge\n"
+        "print(sorted({'seidel_forge.cli', 'seidel_forge.ledger'} & set(sys.modules)))\n"
+    ))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_cold_start_skips_slow_imports():
-    # dataclasses pulls in inspect, ast and dis; datetime serves timestamps only
+    # dataclasses pulls in inspect, ast and dis; datetime serves timestamps
+    # only, and json the json and jsonl formats only
     proc = _run_python("-c", (
         "import sys\n"
         "from seidel_forge import cli\n"
         "assert cli.main(['omega-table', '--no-meta']) == 0\n"
-        "print(sorted({'dataclasses', 'inspect', 'datetime'} & set(sys.modules)), file=sys.stderr)\n"
+        "print(sorted({'dataclasses', 'inspect', 'datetime', 'json'} & set(sys.modules)), file=sys.stderr)\n"
     ))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("n ")
