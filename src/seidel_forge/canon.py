@@ -39,10 +39,11 @@ become best or give an automorphism, so the subtree is dropped as a losing
 leaf would be; the search finds the same leaves <= best and the same
 automorphisms as with no pruning.
 
-A switching-class search (switching_form_bits) adds one level at the root,
-which chooses a vertex v: its child is G switched by N(v), which isolates v,
-with the partition [{v}] + the refinement of the rest, and every leaf below
-is a leaf of that graph.  Its form leads with v's row of zeros, so the least
+A switching-class search (canonical_form_bits with switching) adds one
+level at the root, which chooses a vertex v: its child is G switched by N(v)
+(by _switch_rows, which switches by any vertex set), which isolates v, with
+the partition [{v}] + the refinement of the rest, and every leaf below is a
+leaf of that graph.  Its form leads with v's row of zeros, so the least
 leaf is the least canonical form over the graphs in G's switching class that
 have an isolated vertex.  Everything above applies unchanged once an
 automorphism means a relabeling that maps G into its own switching class
@@ -56,7 +57,7 @@ Adjacency is handled as per-vertex bitmasks throughout.
 """
 from __future__ import annotations
 
-__all__ = ["canonical_form_bits", "pack_bits", "switching_form_bits"]
+__all__ = ["canonical_form_bits", "pack_bits"]
 
 
 def pack_bits(bits: int, nbits: int) -> bytes:
@@ -255,7 +256,7 @@ class _Canonizer:
                 child = _refine(self.adj, child, [low])
             else:
                 # the root chooses v: G switched by N(v), which isolates v
-                self.adj = _isolate(self.graph, low)
+                self.adj = _switch_rows(self.graph, self.graph[low.bit_length() - 1])
                 child = [low] + _refine(self.adj, [cell ^ low])
             self.path.append(low)
             resume = self._search(child, prefix | low, rows, head)
@@ -265,20 +266,15 @@ class _Canonizer:
         return self.n
 
 
-def _isolate(adj: tuple[int, ...], low: int) -> tuple[int, ...]:
-    """The graph switched by the neighbourhood of the vertex whose bit is
-    low, which isolates that vertex: each row flips across the cut."""
-    nv = adj[low.bit_length() - 1]
-    flip = ((1 << len(adj)) - 1) ^ nv
-    return tuple(row ^ (flip if nv >> x & 1 else nv) for x, row in enumerate(adj))
+def _switch_rows(adj: tuple[int, ...], mask: int) -> tuple[int, ...]:
+    """The graph switched by the vertex set mask: each row flips across the
+    cut, and never at its own bit, so no loop appears."""
+    flip = ((1 << len(adj)) - 1) ^ mask
+    return tuple(row ^ (flip if mask >> x & 1 else mask) for x, row in enumerate(adj))
 
 
-def canonical_form_bits(adj: tuple[int, ...]) -> int:
-    """The canonical packed upper-triangle bits of the graph."""
-    return _Canonizer(adj).run()
-
-
-def switching_form_bits(adj: tuple[int, ...]) -> int:
-    """The least canonical form over the graphs in the graph's switching
+def canonical_form_bits(adj: tuple[int, ...], switching: bool = False) -> int:
+    """The canonical packed upper-triangle bits of the graph.  With
+    switching, the least canonical form over the graphs in its switching
     class that have an isolated vertex, which leads with its row of zeros."""
-    return _Canonizer(adj, switching=True).run()
+    return _Canonizer(adj, switching).run()

@@ -13,6 +13,7 @@ from functools import lru_cache
 from operator import mul
 from typing import NamedTuple
 
+from .canon import _switch_rows
 from .exact_linalg import IntMatrix, _pivots, rank
 from .root_lattices import (
     LatticeSpec,
@@ -33,6 +34,7 @@ from .root_lattices import (
 from .seidel_core import (
     Graph,
     SwitchingClassKey,
+    _relabel_rows,
     adjacency_matrix,
     canonical_key,
     cone,
@@ -109,14 +111,18 @@ def e8_context() -> E8Context:
     ]
     graph = gram_to_graph([c.u for c in classes])
     adj, m = graph.adj, len(classes)
-
-    def odd(a: int, b: int, c: int) -> int:
-        return (adj[a] >> b ^ adj[a] >> c ^ adj[b] >> c) & 1
-
-    b2 = next(c for c in range(m) if odd(0, 1, c))
-    five = [c for c in range(b2 + 1, m) if odd(0, 1, c) and not odd(0, b2, c) and not odd(1, b2, c)]
-    image = PermGroup(m, gens, base_prefix=(0, 1, b2, *five[:4]))
+    odd01 = _odd_row(adj, 0, 1)
+    b2 = next(c for c in range(m) if odd01 >> c & 1)
+    five = odd01 & ~_odd_row(adj, 0, b2) & ~_odd_row(adj, 1, b2)
+    base = (0, 1, b2, *[c for c in range(b2 + 1, m) if five >> c & 1][:4])
+    image = PermGroup(m, gens, base_prefix=base)
     return E8Context(spec, r, classes, image, graph)
+
+
+def _odd_row(adj, a: int, b: int) -> int:
+    """The bitmask of the w with {a, b, w} odd in adj; bits a and b cancel,
+    as adj has no loops."""
+    return adj[a] ^ adj[b] ^ -(adj[a] >> b & 1) & ((1 << len(adj)) - 1)
 
 
 def _orderly_ladder(gens, adj, counts) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -143,21 +149,16 @@ def _orderly_ladder(gens, adj, counts) -> tuple[tuple[tuple[int, ...], ...], ...
     ((m - 1)(m - 2))^2 < 2^W.
     """
     m = len(adj)
-    full = (1 << m) - 1
     for g in gens:
-        bits = [1 << y for y in g]
-        moved = [0] * m
-        for a, row in enumerate(adj):
-            moved[g[a]] = sum(bits[b] for b in range(m) if row >> b & 1)
-        cut = adj[0] ^ moved[0]  # the side of the cut without vertex 0
-        if any(x ^ y != (full ^ cut if cut >> v & 1 else cut) for v, (x, y) in enumerate(zip(adj, moved))):
+        moved = _relabel_rows(adj, g)
+        # switch by the side of the cut without vertex 0
+        if _switch_rows(adj, adj[0] ^ moved[0]) != moved:
             raise RuntimeError("a generator maps an odd triple to an even one")
 
     W = max(1, ((m - 1) * (m - 2)) ** 2).bit_length()
     field = (1 << W) - 1
     shifts = [W * v for v in range(m)]
-    # odd[x][v]: the w making {x, v, w} odd; bits x and v cancel, as adj has no loops
-    odd = [[adj[x] ^ adj[v] ^ -(adj[x] >> v & 1) & full for v in range(m)] for x in range(m)]
+    odd = [[_odd_row(adj, x, v) for v in range(m)] for x in range(m)]
     SP = [[sum(1 << shifts[a] for a in range(m) if o >> a & 1) for o in row] for row in odd]
 
     levels = [((),)]

@@ -10,7 +10,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import NamedTuple
 
-from .canon import _packed_form, pack_bits, switching_form_bits
+from .canon import _packed_form, _switch_rows, canonical_form_bits, pack_bits
 from .exact_linalg import IntMatrix
 from .weyl_orbits import _orbit_minima
 
@@ -124,16 +124,20 @@ class Graph(NamedTuple("Graph", [("n", int), ("adj", tuple[int, ...])])):
 
     def relabel(self, perm) -> "Graph":
         """Graph with vertex v renamed to perm[v]."""
-        adj = [0] * self.n
-        for u in range(self.n):
-            row = self.adj[u]
-            new_row = 0
-            while row:
-                low = row & (-row)
-                new_row |= 1 << perm[low.bit_length() - 1]
-                row ^= low
-            adj[perm[u]] = new_row
-        return Graph(self.n, tuple(adj))
+        return Graph(self.n, _relabel_rows(self.adj, perm))
+
+
+def _relabel_rows(adj, perm) -> tuple[int, ...]:
+    """The rows of the graph adj with vertex v renamed to perm[v]."""
+    out = [0] * len(adj)
+    for u, row in enumerate(adj):
+        new_row = 0
+        while row:
+            low = row & (-row)
+            new_row |= 1 << perm[low.bit_length() - 1]
+            row ^= low
+        out[perm[u]] = new_row
+    return tuple(out)
 
 
 class SwitchingClassKey(NamedTuple):
@@ -177,12 +181,7 @@ def switch(G: Graph, U) -> Graph:
         if not 0 <= v < G.n:
             raise ValueError("switching set must consist of vertices")
         mask |= 1 << v
-    full = (1 << G.n) - 1
-    adj = []
-    for v in range(G.n):
-        other = (full ^ mask) if mask >> v & 1 else mask
-        adj.append((G.adj[v] ^ other) & ~(1 << v))
-    return Graph(G.n, tuple(adj))
+    return Graph(G.n, _switch_rows(G.adj, mask))
 
 
 def cone(G: Graph) -> Graph:
@@ -204,9 +203,10 @@ def canonical_key(G: Graph) -> SwitchingClassKey:
     of the switching class of G up to isomorphism.  It packs into C(n, 2)
     bits, whose leading n - 1 zeros are the row of the isolated vertex; the
     rest is the canonical form of that graph with the vertex deleted.  One
-    search finds it, whose root chooses v (canon.switching_form_bits).
+    search finds it, whose root chooses v (canonical_form_bits with switching).
     """
-    return SwitchingClassKey(G.n, pack_bits(switching_form_bits(G.adj), G.n * (G.n - 1) // 2))
+    bits = canonical_form_bits(G.adj, switching=True)
+    return SwitchingClassKey(G.n, pack_bits(bits, G.n * (G.n - 1) // 2))
 
 
 def switching_class_representatives(n: int) -> list[int]:

@@ -427,9 +427,10 @@ class TestBoundedKey:
         assert _count_calls(monkeypatch, canon, "_packed_form", _high_representatives()) <= 480
 
     def test_search_count(self, monkeypatch):
-        # 374 root children (choices of v) searched when this guard was set,
-        # 1,334 before the orbit pruning reached them
-        assert _count_calls(monkeypatch, canon, "_isolate", _high_representatives()) <= 400
+        # 374 root children (choices of v), each switched by the shared row
+        # kernel, searched when this guard was set, 1,334 before the orbit
+        # pruning reached them
+        assert _count_calls(monkeypatch, canon, "_switch_rows", _high_representatives()) <= 400
 
     def test_automorphisms_preserve_the_two_graph(self):
         # the search's automorphisms at the root are relabelings that keep

@@ -6,7 +6,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from seidel_forge import weyl_orbits
+from seidel_forge import seidel_core, weyl_orbits
 from seidel_forge.exact_linalg import max_eig_le
 from seidel_forge.seidel_core import (
     Graph,
@@ -262,6 +262,24 @@ class TestCanonicalKey:
                 assert checked_key(switch(G, U).relabel(perm)) == key
             keys.append(key)
         assert keys[0] != keys[1]
+
+    def test_one_canonizer_call_per_key(self, monkeypatch):
+        # a key reaches the search through the module-level name
+        # seidel_core.canonical_form_bits, once, so wrapping that name sees
+        # every key search
+        calls = 0
+        inner = seidel_core.canonical_form_bits
+
+        def counting(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(seidel_core, "canonical_form_bits", counting)
+        for G in (Graph.empty(0), Graph.cycle(5), Graph.complete(8), Graph.complete_minus_matching(9, 3)):
+            calls = 0
+            checked_key(G)
+            assert calls == 1
 
     def test_representative_counts(self):
         # switching classes on 0..5 vertices, independently derived
