@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from operator import mul
 from typing import NamedTuple
 
 from .canon import _switch_rows
@@ -29,6 +28,7 @@ from .root_lattices import (
     pair_classes,
     reflect,
     roots,
+    simple_roots,
     standard_switching_root,
 )
 from .seidel_core import (
@@ -85,9 +85,8 @@ def e8_context() -> E8Context:
     the roots v with (v, r) = 0, an E_7.  They generate the group its 63
     reflections do, the stabilizer of r (Humphreys, Reflection Groups and
     Coxeter Groups, Thm 1.5; Steinberg, Thm 1.12).  Each fixes r, so it maps
-    the class of u to the class of s_v(u).  Weights 16^7..16^0 on coords2 give
-    a functional nonzero on the roots and one-to-one on their differences: it
-    picks the positive roots; v is simple iff no positive u has v - u positive.
+    the class of u to the class of s_v(u).  root_lattices.simple_roots picks
+    the simple roots.
 
     The base of image's chain comes from the two-graph of graph, whose odd
     triples the group keeps: 0, 1, the least b2 with {0, 1, b2} odd, then
@@ -101,13 +100,9 @@ def e8_context() -> E8Context:
     r = standard_switching_root(spec)
     classes = pair_classes(spec, r)
     class_of = {m.coords2: i for i, c in enumerate(classes) for m in c.members()}
-    weights = [16 ** k for k in range(7, -1, -1)]
-    positive = {x: v for v in roots(spec)
-                if (x := sum(map(mul, weights, v.coords2))) > 0 and inner(v, r) == 0}
     gens = [
         tuple(class_of[reflect(v, c.u).coords2] for c in classes)
-        for x, v in positive.items()
-        if not any(x - y in positive for y in positive)
+        for v in simple_roots([v for v in roots(spec) if inner(v, r) == 0])
     ]
     graph = gram_to_graph([c.u for c in classes])
     adj, m = graph.adj, len(classes)

@@ -24,6 +24,7 @@ __all__ = [
     "PairClass",
     "GramError",
     "roots",
+    "simple_roots",
     "inner",
     "reflect",
     "n_r",
@@ -179,6 +180,16 @@ def roots(spec: LatticeSpec) -> tuple[RootVector, ...]:
         if spec.rank == 6:
             out = [v for v in out if v[1] == v[2]]
     return tuple(RootVector(v) for v in sorted(out))
+
+
+def simple_roots(system) -> tuple[RootVector, ...]:
+    """The simple roots of the root system given as its list of roots, in list
+    order.  Weights 16^(d-1)..16^0 on coords2 give a functional nonzero on the
+    roots and one-to-one on their differences: it picks the positive roots; v
+    is simple iff no positive u has v - u positive."""
+    weights = [16 ** k for k in reversed(range(len(system[0].coords2)))]
+    positive = {x: v for v in system if (x := sum(map(mul, weights, v.coords2))) > 0}
+    return tuple(v for x, v in positive.items() if not any(x - y in positive for y in positive))
 
 
 def standard_switching_root(spec: LatticeSpec) -> RootVector:

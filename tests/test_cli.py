@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from seidel_forge import cli, enumeration, ledger, root_lattices
+from seidel_forge import cli, enumeration, ledger, root_lattices, weyl_orbits
 from seidel_forge.cli import TABLE2_S, TABLE2_SE, TABLE3_OMEGA, main
 from seidel_forge.enumeration import e8_context
 from seidel_forge.weyl_orbits import PermGroup
@@ -221,6 +221,23 @@ class TestVerify:
         assert code == 1
         assert out.startswith("[FAIL] lem:A")
         assert "55 roots with (u, r) = 1 != 56" in out
+
+    def test_lem_a_fails_on_a_proper_weyl_subgroup(self, capsys, monkeypatch):
+        # W(E_8) built without its last simple reflection is the parabolic
+        # W(D_7); the group is cached, so clear it before and after the run
+        monkeypatch.setattr(
+            weyl_orbits, "simple_roots", lambda system: root_lattices.simple_roots(system)[:-1]
+        )
+        weyl_orbits.weyl_group_on_roots.cache_clear()
+        try:
+            code, out, _ = run(capsys, "verify", "--only", "lem:A")
+        finally:
+            weyl_orbits.weyl_group_on_roots.cache_clear()
+        assert code == 1
+        assert out == (
+            "[FAIL] lem:A  |W(E_8)| = 322560 != 696729600; |W(E_8)_r| = 3840 != 2903040; "
+            "projected stabilizer order 3840 != image order 1451520\n"
+        )
 
     # one planted fault per check: (check, ledger name, fake, FAIL detail)
     PLANTED = [

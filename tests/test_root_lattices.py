@@ -22,6 +22,7 @@ from seidel_forge.root_lattices import (
     pair_classes,
     reflect,
     roots,
+    simple_roots,
     standard_switching_root,
 )
 from seidel_forge.seidel_core import Graph, switch
@@ -93,6 +94,23 @@ class TestRoots:
     def test_reflect_requires_root(self):
         with pytest.raises(ValueError):
             reflect(_unit(0) + _unit(0), _unit(1))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [LatticeSpec(f, n) for f, n in
+         [("A", 1), ("A", 3), ("A", 7), ("D", 4), ("D", 5), ("D", 8), ("E", 6), ("E", 7), ("E", 8)]],
+        ids=lambda spec: spec.name,
+    )
+    def test_simple_roots_form_a_cartan_matrix(self, spec):
+        # rank many roots with a Cartan Gram matrix whose determinant is the
+        # discriminant: a base of the root system that spans the lattice
+        base = simple_roots(roots(spec))
+        assert len(base) == spec.rank
+        gram = [[inner(u, v) for v in base] for u in base]
+        for i, row in enumerate(gram):
+            assert row[i] == 2
+            assert all(x in (0, -1) for j, x in enumerate(row) if j != i)
+        assert gram_determinant(base) == spec.discriminant
 
 
 class TestInnerProduct:

@@ -298,11 +298,17 @@ class TestWeylGroups:
             (LatticeSpec("D", 4), 192),
             (LatticeSpec("A", 7), 40320),
             (LatticeSpec("E", 8), 696729600),
+            (LatticeSpec("D", 5), 1920),
+            (LatticeSpec("E", 6), 51840),
+            (LatticeSpec("E", 7), 2903040),
         ],
     )
     def test_orders(self, spec, order):
-        # |W| = (n+1)! for A_n, 2^{n-1} n! for D_n, 696729600 for E_8
-        assert weyl_group_on_roots(spec).order() == order
+        # |W| = (n+1)! for A_n, 2^{n-1} n! for D_n, 51840, 2903040 and
+        # 696729600 for E_6/7/8; generated by the rank many simple reflections
+        W = weyl_group_on_roots(spec)
+        assert W.order() == order
+        assert len(W.generators) == spec.rank
 
     def test_labels_are_roots(self):
         spec = LatticeSpec("A", 2)
