@@ -33,22 +33,26 @@ least form is the one the full tree gives.
 A search prunes by the fixed prefix of the leaf forms below a node.  The
 partition there is equitable, so each of its k leading singletons is
 adjacent to all or none of every later cell, and rows 0..k-1 of every leaf
-below are already known: the top k(2n - k - 1)/2 bits of its form.  When they
-exceed the same bits of the least leaf found so far, no leaf below can
-become best or give an automorphism, so the subtree is dropped as a losing
-leaf would be; the search finds the same leaves <= best and the same
+below are already known: the top k(2n - k - 1)/2 bits of its form.  A leaf
+is the node whose partition is discrete, so these rows are its whole form.
+Every node, a leaf included, packs the rows its parent did not and compares
+them with the same bits of the least leaf found so far.  When they are
+greater, no leaf below can become best or give an automorphism, so the
+subtree is dropped; the search finds the same leaves <= best and the same
 automorphisms as with no pruning.
 
 A switching-class search (canonical_form_bits with switching) adds one
 level at the root, which chooses a vertex v: its child is G switched by N(v)
-(by _switch_rows, which switches by any vertex set), which isolates v, with
-the partition [{v}] + the refinement of the rest, and every leaf below is a
-leaf of that graph.  Its form leads with v's row of zeros, so the least
-leaf is the least canonical form over the graphs in G's switching class that
-have an isolated vertex.  Everything above applies unchanged once an
-automorphism means a relabeling that maps G into its own switching class
-(an automorphism of its two-graph): one that fixes v maps the only graph
-there that isolates v onto itself.  So G's twin transpositions qualify, and
+(by _switch_rows, which switches by any vertex set), which isolates v, and
+every leaf below is a leaf of that graph.  The child's partition [{v}, rest]
+is refined like any other child's, except that its first active cell is the
+rest, since no vertex has a neighbour in {v}.  Every leaf form below leads
+with v's row of zeros, so the least leaf is the least canonical form over
+the graphs in G's switching class that have an isolated vertex.
+Everything above applies unchanged once an automorphism means a relabeling
+that maps G into its own switching class (an automorphism of its
+two-graph): one that fixes v maps the only graph there that isolates v
+onto itself.  So G's twin transpositions qualify, and
 two equal leaves below v and w give one that sends w to v: the search goes
 back to the root, and prunes every later root child in the orbit of one
 searched already.
@@ -110,19 +114,19 @@ def _refine(
     return cells
 
 
-def _packed_form(adj: tuple[int, ...], order: list[int]) -> int:
-    """Packed strict upper triangle of the graph relabeled by order.
+def _pack_rows(adj: tuple[int, ...], cells: list[int], rows: int, head: int, stop: int) -> int:
+    """head followed by the rows of the singleton cells rows..stop-1.
 
-    order[k] is the original vertex that receives new label k; the bit for
-    pair (i, j), i < j, sits at descending significance in row-major order.
+    Each such vertex is adjacent to all or none of every later cell, so its
+    row is one run of equal bits per later cell; the bit for pair (i, j),
+    i < j, sits at descending significance in row-major order.
     """
-    n = len(order)
-    bits = 0
-    for i in range(n):
-        row = adj[order[i]]
-        for j in range(i + 1, n):
-            bits = (bits << 1) | (row >> order[j] & 1)
-    return bits
+    for k in range(rows, stop):
+        row = adj[cells[k].bit_length() - 1]
+        for later in cells[k + 1 :]:
+            size = later.bit_count()
+            head = head << size | ((1 << size) - 1 if row & later else 0)
+    return head
 
 
 def _twin_autos(adj: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -195,42 +199,34 @@ class _Canonizer:
         of prefix, where every leaf form below starts with the rows rows
         packed in head; return the depth of the ancestor where the search
         goes on (n when it goes on at the parent)."""
-        target = next((k for k, c in enumerate(cells) if c & (c - 1)), None)
-        if target is None:
-            order = [c.bit_length() - 1 for c in cells]
-            form = _packed_form(self.adj, order)
-            if self.best is None or form < self.best:
-                self.best = form
-                self.best_order = order
-                self.best_path = self.path[:]
-            elif form == self.best:
-                assert self.best_order is not None
-                # equal leaves witness an automorphism: send the vertex with
-                # label k in this leaf to the one with label k in the best leaf
-                g = [0] * self.n
-                for k in range(self.n):
-                    g[order[k]] = self.best_order[k]
-                self._add_auto(tuple(g))
-                # it fixes the path down to the last node shared with the
-                # best leaf and maps this branch there onto the best leaf's
-                # branch, searched already: go on at that node
-                depth = 0
-                while self.path[depth] == self.best_path[depth]:
-                    depth += 1
-                return depth
-            return self.n
-        # the leading singletons' rows are fixed below this node: each is
-        # adjacent to all or none of every later cell
-        while rows < target:
-            row = self.adj[cells[rows].bit_length() - 1]
-            for later in cells[rows + 1 :]:
-                size = later.bit_count()
-                head = head << size | ((1 << size) - 1 if row & later else 0)
-            rows += 1
+        # at a leaf (a discrete partition) target is n and head its whole form
+        target = next((k for k, c in enumerate(cells) if c & (c - 1)), self.n)
+        head = _pack_rows(self.adj, cells, rows, head, target)
         if self.best is not None:
-            tail = (self.n - rows) * (self.n - rows - 1) // 2
+            tail = (self.n - target) * (self.n - target - 1) // 2
             if head > self.best >> tail:
                 return self.n
+        if target == self.n:
+            order = [c.bit_length() - 1 for c in cells]
+            if self.best is None or head < self.best:
+                self.best = head
+                self.best_order = order
+                self.best_path = self.path[:]
+                return self.n
+            assert self.best_order is not None
+            # equal leaves witness an automorphism: send the vertex with
+            # label k in this leaf to the one with label k in the best leaf
+            g = [0] * self.n
+            for k in range(self.n):
+                g[order[k]] = self.best_order[k]
+            self._add_auto(tuple(g))
+            # it fixes the path down to the last node shared with the best
+            # leaf and maps this branch there onto the best leaf's branch,
+            # searched already: go on at that node
+            depth = 0
+            while self.path[depth] == self.best_path[depth]:
+                depth += 1
+            return depth
         cell = cells[target]
         # orbit bitmasks of the known automorphisms that fix prefix; autos
         # before index absorbed are already in them
@@ -251,15 +247,15 @@ class _Canonizer:
                 if orbit[low.bit_length() - 1] & tried:
                     continue
             tried |= low
-            if prefix or not self.switching:
-                child = cells[:target] + [low, cell ^ low] + cells[target + 1 :]
-                child = _refine(self.adj, child, [low])
-            else:
-                # the root chooses v: G switched by N(v), which isolates v
+            active = low
+            if self.switching and not prefix:
+                # the root chooses v: G switched by N(v), which isolates v,
+                # so only the counts into the rest can split it
                 self.adj = _switch_rows(self.graph, self.graph[low.bit_length() - 1])
-                child = [low] + _refine(self.adj, [cell ^ low])
+                active = cell ^ low
+            child = cells[:target] + [low, cell ^ low] + cells[target + 1 :]
             self.path.append(low)
-            resume = self._search(child, prefix | low, rows, head)
+            resume = self._search(_refine(self.adj, child, [active]), prefix | low, target, head)
             self.path.pop()
             if resume < len(self.path):
                 return resume

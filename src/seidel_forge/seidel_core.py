@@ -10,7 +10,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import NamedTuple
 
-from .canon import _packed_form, _switch_rows, canonical_form_bits, pack_bits
+from .canon import _pack_rows, _switch_rows, canonical_form_bits, pack_bits
 from .exact_linalg import IntMatrix
 from .weyl_orbits import _orbit_minima
 
@@ -112,7 +112,7 @@ class Graph(NamedTuple("Graph", [("n", int), ("adj", tuple[int, ...])])):
 
     def triangle_bits(self) -> int:
         """Packed upper-triangle bits, pair (0,1) most significant."""
-        return _packed_form(self.adj, list(range(self.n)))
+        return _pack_rows(self.adj, [1 << v for v in range(self.n)], 0, 0, self.n)
 
     def edges(self) -> list[tuple[int, int]]:
         return [

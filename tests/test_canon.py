@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from seidel_forge import canon
 from seidel_forge.canon import (
     _Canonizer,
-    _packed_form,
+    _pack_rows,
     _refine,
     _twin_autos,
     canonical_form_bits,
@@ -142,6 +142,15 @@ def reference_refine(adj, cells):
         cells = new_cells
 
 
+def reference_form(adj, order):
+    """The upper triangle of the graph relabeled by order, packed pair by
+    pair in row-major order; the oracle for the search's row packing."""
+    bits = 0
+    for i, j in combinations(range(len(order)), 2):
+        bits = bits << 1 | adj[order[i]] >> order[j] & 1
+    return bits
+
+
 class ReferenceCanonizer:
     """The search with orbit pruning that rebuilds the union-find of the
     automorphisms fixing the prefix for every vertex it tries, over the
@@ -189,7 +198,7 @@ class ReferenceCanonizer:
         target = next((k for k, c in enumerate(cells) if c & (c - 1)), None)
         if target is None:
             order = [c.bit_length() - 1 for c in cells]
-            form = _packed_form(self.adj, order)
+            form = reference_form(self.adj, order)
             if self.best is None or form < self.best:
                 self.best, self.best_order, self.best_path = form, order, prefix
             elif form == self.best:
@@ -329,21 +338,73 @@ def test_incremental_refine_after_individualizing(G):
             assert _refine(G.adj, child, [1 << u]) == reference_refine(G.adj, child)
 
 
+def _recorded_nodes(monkeypatch):
+    """A list that collects the partition of every node the searches visit
+    from now on."""
+    nodes = []
+    search = _Canonizer._search
+
+    def recording(self, cells, *args):
+        nodes.append(cells)
+        return search(self, cells, *args)
+
+    monkeypatch.setattr(_Canonizer, "_search", recording)
+    return nodes
+
+
+def _leaf_count(nodes):
+    """The number of discrete partitions among nodes."""
+    return sum(all(c & (c - 1) == 0 for c in cells) for cells in nodes)
+
+
 @pytest.mark.parametrize("family", [Graph.complete, Graph.empty])
 def test_twin_transpositions_leave_one_leaf(monkeypatch, family):
     # every vertex of K_n or its complement is a twin of every other, so the
     # seeds prune every branch but the first
-    leaves = []
-
-    def counting(adj, order):
-        leaves.append(order)
-        return _packed_form(adj, order)
-
-    monkeypatch.setattr(canon, "_packed_form", counting)
+    nodes = _recorded_nodes(monkeypatch)
     for n in range(8, 21):
-        leaves.clear()
+        nodes.clear()
         canonical_form_bits(family(n).adj)
-        assert len(leaves) == 1, n
+        assert _leaf_count(nodes) == 1, n
+
+
+def _leaf_orders(adj, cells):
+    """The orders of every leaf below the node with partition cells, with
+    no pruning."""
+    target = next((k for k, c in enumerate(cells) if c & (c - 1)), None)
+    if target is None:
+        yield [c.bit_length() - 1 for c in cells]
+        return
+    cell = cells[target]
+    v = cell
+    while v:
+        low = v & (-v)
+        v ^= low
+        child = cells[:target] + [low, cell ^ low] + cells[target + 1 :]
+        yield from _leaf_orders(adj, reference_refine(adj, child))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_leading_rows_are_the_top_bits_of_every_leaf_below(monkeypatch, seed):
+    # the prune and the leaf both read a node's form off the rows of its
+    # leading singletons, packed as one run of bits per later cell
+    nodes = _recorded_nodes(monkeypatch)
+    rng = random.Random(seed)
+    for _ in range(25):
+        n = rng.randint(1, 12)
+        m = n * (n - 1) // 2
+        bits = rng.getrandbits(m)
+        for _ in range(rng.randint(0, 2)):  # density 1/2, 1/4 or 1/8
+            bits &= rng.getrandbits(m)
+        adj = Graph.from_triangle_bits(n, bits).adj
+        nodes.clear()
+        canonical_form_bits(adj)
+        for cells in nodes:
+            k = next((k for k, c in enumerate(cells) if c & (c - 1)), n)
+            head = _pack_rows(adj, cells, 0, 0, k)
+            tail = (n - k) * (n - k - 1) // 2
+            for order in _leaf_orders(adj, cells):
+                assert reference_form(adj, order) >> tail == head
 
 
 def least_form_key(G, form):
@@ -424,7 +485,11 @@ class TestBoundedKey:
         # 436 leaves when this guard was set; 535 with a search per H_v,
         # 1,079 with every H_v searched, 5,254 with every H_v searched from
         # nothing
-        assert _count_calls(monkeypatch, canon, "_packed_form", _high_representatives()) <= 480
+        graphs = _high_representatives()
+        nodes = _recorded_nodes(monkeypatch)
+        for G in graphs:
+            canonical_key(G)
+        assert _leaf_count(nodes) <= 480
 
     def test_search_count(self, monkeypatch):
         # 374 root children (choices of v), each switched by the shared row

@@ -292,15 +292,18 @@ class TestWeylGroups:
     @pytest.mark.parametrize(
         "spec,order",
         [
-            (LatticeSpec("A", 1), 2),
-            (LatticeSpec("A", 2), 6),
-            (LatticeSpec("A", 3), 24),
-            (LatticeSpec("D", 4), 192),
-            (LatticeSpec("A", 7), 40320),
-            (LatticeSpec("E", 8), 696729600),
-            (LatticeSpec("D", 5), 1920),
-            (LatticeSpec("E", 6), 51840),
-            (LatticeSpec("E", 7), 2903040),
+            pytest.param(spec, order, id=spec.name)
+            for spec, order in [
+                (LatticeSpec("A", 1), 2),
+                (LatticeSpec("A", 2), 6),
+                (LatticeSpec("A", 3), 24),
+                (LatticeSpec("D", 4), 192),
+                (LatticeSpec("A", 7), 40320),
+                (LatticeSpec("E", 8), 696729600),
+                (LatticeSpec("D", 5), 1920),
+                (LatticeSpec("E", 6), 51840),
+                (LatticeSpec("E", 7), 2903040),
+            ]
         ],
     )
     def test_orders(self, spec, order):
