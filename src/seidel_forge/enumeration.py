@@ -34,6 +34,7 @@ from .root_lattices import (
 from .seidel_core import (
     Graph,
     SwitchingClassKey,
+    _check_vertex_count,
     _relabel_rows,
     adjacency_matrix,
     canonical_key,
@@ -243,13 +244,12 @@ def omega_table() -> OmegaTable:
 
 class FamilyWitness(NamedTuple):
     """Root-lattice witness of a one-class family: the vectors, the switching
-    root, the graph of the Gram matrix, and its switching-class key."""
+    root, and the graph of the Gram matrix."""
 
     spec: LatticeSpec
     r: RootVector
     vectors: tuple[RootVector, ...]
     graph: Graph
-    key: SwitchingClassKey
 
 
 def _witness(spec: LatticeSpec, vectors: tuple[RootVector, ...]) -> FamilyWitness:
@@ -257,15 +257,13 @@ def _witness(spec: LatticeSpec, vectors: tuple[RootVector, ...]) -> FamilyWitnes
     r = standard_switching_root(spec)
     if not generates(list(vectors) + [r], spec):
         raise RuntimeError(f"witness vectors fail to generate {spec.name}")
-    graph = gram_to_graph(vectors)
-    return FamilyWitness(spec, r, vectors, graph, canonical_key(graph))
+    return FamilyWitness(spec, r, vectors, gram_to_graph(vectors))
 
 
 def kn_witness(n: int) -> FamilyWitness:
     """Witness for [S(K_n)] inside A_{n+1}: vectors e_i - e_{n+2} (i = 1..n)
     with switching root r = e_{n+1} - e_{n+2} (1-indexed coordinates)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _check_vertex_count(n)
     spec = LatticeSpec("A", n + 1)
     dim = n + 2
     last = RootVector.unit(n + 1, dim)
@@ -275,12 +273,13 @@ def kn_witness(n: int) -> FamilyWitness:
 
 def construct_Kn_class(n: int) -> SwitchingClassKey:
     """The unique class over A_{n+1}: the switching class of K_n."""
-    return kn_witness(n).key
+    return canonical_key(kn_witness(n).graph)
 
 
 def dst_witness(n: int, m: int) -> FamilyWitness:
     """Witness for [S(D_{m-2,n-m+2})] inside D_m: vectors e_m + e_i
     (i = 1..m-2) and e_m - e_i (i = 1..n-m+2), r = e_{m-1} + e_m."""
+    _check_vertex_count(n)
     if not (m >= 4 and 2 * (m - 2) >= n >= m - 1):
         raise ValueError(
             f"infeasible (n, m) = ({n}, {m}): need m >= 4 and 2(m-2) >= n >= m-1"
@@ -296,7 +295,7 @@ def dst_witness(n: int, m: int) -> FamilyWitness:
 def construct_Dst_class(n: int, m: int) -> SwitchingClassKey:
     """The unique class over D_m on n vertices: the switching class of
     D_{m-2,n-m+2} (complete graph minus a matching)."""
-    return dst_witness(n, m).key
+    return canonical_key(dst_witness(n, m).graph)
 
 
 def _three_i_minus_s(G: Graph) -> IntMatrix:
@@ -437,20 +436,18 @@ def verify_fiber_n6() -> dict:
     }
 
 
-def verify_cao(n_max: int = 8, samples: int = 500, seed: int = 0) -> dict:
+def verify_cao(samples: int = 500, seed: int = 0) -> dict:
     """Random-graph check of the eigenvalue bound against the cone criterion.
 
-    For each sample: lambda_max(S(G)) <= 3 must hold exactly when
-    A(cone(G)) + 2I is positive semidefinite, and in that case
-    rank(3I - S(G)) + 1 = rank(A(cone(G)) + 2I).
+    For each sample, a graph G on at most 8 vertices: lambda_max(S(G)) <= 3
+    must hold exactly when A(cone(G)) + 2I is positive semidefinite, and in
+    that case rank(3I - S(G)) + 1 = rank(A(cone(G)) + 2I).
     """
-    if not 0 <= n_max <= 10:
-        raise ValueError("n_max must be in 0..10")
     rng = random.Random(seed)
     failures: list[dict] = []
     bounded = 0
     for _ in range(samples):
-        n = rng.randint(0, n_max)
+        n = rng.randint(0, 8)
         G = Graph.from_triangle_bits(n, rng.getrandbits(n * (n - 1) // 2))
         cone_gram = adjacency_matrix(cone(G)).add(IntMatrix.identity(G.n + 1).scale(2))
         # one elimination per matrix gives both its PSD verdict and its rank
@@ -469,7 +466,6 @@ def verify_cao(n_max: int = 8, samples: int = 500, seed: int = 0) -> dict:
     return {
         "ok": not failures,
         "samples": samples,
-        "n_max": n_max,
         "seed": seed,
         "bounded_cases": bounded,
         "failures": failures,

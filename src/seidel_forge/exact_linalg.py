@@ -22,6 +22,7 @@ absorb the pivot growth (pivots exceed 64 bits around order 15).
 """
 from __future__ import annotations
 
+from operator import index
 from typing import NamedTuple
 
 __all__ = [
@@ -53,7 +54,8 @@ class IntMatrix(NamedTuple("IntMatrix", [("rows", tuple[tuple[int, ...], ...])])
 
     @staticmethod
     def from_rows(rows) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(int(x) for x in row) for row in rows))
+        """Rows of integers; a Fraction or float entry raises TypeError."""
+        return IntMatrix(tuple(tuple(map(index, row)) for row in rows))
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":

@@ -46,7 +46,7 @@ def _cor_sn_residual_errors(table) -> list[str]:
 
 
 def _check_thm_cao(cfg: Namespace) -> tuple[list[str], str]:
-    report = verify_cao(8, cfg.samples, cfg.seed)
+    report = verify_cao(cfg.samples, cfg.seed)
     problems = [f"{len(report['failures'])} failures"] if report["failures"] else []
     return problems, (
         f"{report['samples']} random graphs on <= 8 vertices, "

@@ -28,6 +28,11 @@ __all__ = [
 MAX_VERTICES = 32
 
 
+def _check_vertex_count(n: int) -> None:
+    if not 0 <= n <= MAX_VERTICES:
+        raise ValueError(f"vertex count must be in 0..{MAX_VERTICES}")
+
+
 def pair_index(i: int, j: int, n: int) -> int:
     """Row-major index of pair (i, j), i < j, in the strict upper triangle."""
     if not 0 <= i < j < n:
@@ -41,8 +46,7 @@ class Graph(NamedTuple("Graph", [("n", int), ("adj", tuple[int, ...])])):
     __slots__ = ()
 
     def __new__(cls, n: int, adj: tuple[int, ...]) -> "Graph":
-        if not 0 <= n <= MAX_VERTICES:
-            raise ValueError(f"vertex count must be in 0..{MAX_VERTICES}")
+        _check_vertex_count(n)
         if len(adj) != n:
             raise ValueError("adjacency length must equal n")
         full = (1 << n) - 1
@@ -101,7 +105,10 @@ class Graph(NamedTuple("Graph", [("n", int), ("adj", tuple[int, ...])])):
     @staticmethod
     def from_triangle_bits(n: int, bits: int) -> "Graph":
         """Graph from packed upper-triangle bits (MSB first, row-major)."""
+        _check_vertex_count(n)
         m = n * (n - 1) // 2
+        if not 0 <= bits < 1 << m:
+            raise ValueError(f"triangle bits must be in 0..2**{m} - 1")
         adj = [0] * n
         for i in range(n):
             for j in range(i + 1, n):

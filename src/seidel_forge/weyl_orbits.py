@@ -299,16 +299,10 @@ def weyl_group_on_roots(spec: LatticeSpec, base_prefix: tuple[int, ...] = ()) ->
 
 
 def stabilizer_of_root(W: PermGroup, r_index: int) -> PermGroup:
-    """Point stabilizer W_r, by base change when the base does not lead with r."""
-    if not 0 <= r_index < W.degree:
-        raise ValueError("r_index out of range")
-    if not (W.base and W.base[0] == r_index):
-        W = PermGroup(
-            W.degree,
-            W.generators,
-            base_prefix=(r_index,),
-            labels=W.labels,
-        )
+    """Point stabilizer W_r: the chain below the first base point, which must
+    be r (build W with base_prefix=(r_index,))."""
+    if W.base[:1] != (r_index,):
+        raise ValueError("the base of W must start at r_index")
     return PermGroup._from_chain(W.degree, W._levels[1:], W.labels)
 
 

@@ -116,7 +116,7 @@ def test_criterion_7_structural_constants():
 
 def test_criterion_8_cone_equivalence_suite():
     """criterion 8: 500 random graphs on <= 8 vertices pass the eigenvalue-bound / cone-PSD equivalence and rank identity with zero failures."""
-    report = verify_cao(n_max=8, samples=500, seed=0)
+    report = verify_cao(samples=500, seed=0)
     assert report["samples"] == 500
     assert report["failures"] == []
     assert report["ok"]

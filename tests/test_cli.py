@@ -241,8 +241,8 @@ class TestVerify:
 
     # one planted fault per check: (check, ledger name, fake, FAIL detail)
     PLANTED = [
-        ("thm:Cao", "verify_cao", lambda n_max, samples, seed: {
-            **enumeration.verify_cao(n_max, samples, seed), "failures": [{"detail": "planted"}]},
+        ("thm:Cao", "verify_cao", lambda samples, seed: {
+            **enumeration.verify_cao(samples, seed), "failures": [{"detail": "planted"}]},
          "1 failures"),
         ("lem:S(A)", "construct_Kn_class",
          lambda n: enumeration.construct_Kn_class(4 if n == 5 else n), "K_n mismatch at n = 5"),

@@ -401,6 +401,24 @@ class TestFamilyWitnesses:
             Graph.complete_minus_matching(4, 4)
         )
 
+    def test_witnesses_run_no_key_search(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(enumeration, "canonical_key", calls.append)
+        kn_witness(5)
+        dst_witness(8, 6)
+        assert calls == []
+
+    def test_witnesses_check_the_vertex_count_first(self, monkeypatch):
+        # the lattice of A_{n+1} or D_m is never built for n > 32
+        def refuse(*args):
+            raise AssertionError("generates ran")
+
+        monkeypatch.setattr(enumeration, "generates", refuse)
+        for build in (lambda: kn_witness(33), lambda: dst_witness(34, 19),
+                      lambda: construct_Kn_class(100)):
+            with pytest.raises(ValueError, match=r"^vertex count must be in 0\.\.32$"):
+                build()
+
 
 class TestSTable:
     def test_small_prefix(self):
@@ -464,14 +482,10 @@ class TestVerifiers:
         assert sum("has rank 2 != 1" in f for f in report["failures"]) == 2
 
     def test_cao_sampler(self):
-        report = verify_cao(n_max=6, samples=120, seed=3)
+        report = verify_cao(samples=120, seed=3)
         assert report["ok"], report["failures"]
         assert report["bounded_cases"] > 0
         assert report["samples"] == 120
-
-    def test_cao_range_guard(self):
-        with pytest.raises(ValueError):
-            verify_cao(n_max=11)
 
 
 class TestExports:

@@ -111,6 +111,17 @@ class TestIntMatrix:
         assert M.sub(M).rows == ((0, 0), (0, 0))
         assert M.scale(3).rows == ((3, 6), (9, 12))
 
+    def test_refuses_non_integer_entries(self):
+        # non-integers are refused, not truncated
+        for rows in ([[Fraction(1, 2), 0], [0, Fraction(1, 2)]], [[0.9]], [[2.0]]):
+            with pytest.raises(TypeError):
+                IntMatrix.from_rows(rows)
+        with pytest.raises(TypeError):
+            IntMatrix(((1, 2), (3, 4))).scale(0.5)
+        M = IntMatrix.from_rows([[True, False], [0, 3]])
+        assert M.rows == ((1, 0), (0, 3))
+        assert all(type(x) is int for row in M.rows for x in row)
+
     def test_rejects_ragged_rows(self):
         with pytest.raises(ValueError):
             IntMatrix.from_rows([[1, 2], [3]])

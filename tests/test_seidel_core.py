@@ -116,6 +116,14 @@ class TestGraph:
     def test_triangle_bits_roundtrip(self, G):
         assert Graph.from_triangle_bits(G.n, G.triangle_bits()) == G
 
+    def test_triangle_bits_out_of_range(self):
+        assert Graph.from_triangle_bits(3, 7) == Graph.complete(3)
+        assert Graph.from_triangle_bits(0, 0) == Graph.empty(0)
+        # the vertex count is checked before 1 << C(n, 2) is formed
+        for n, bits in ((3, 8), (3, -1), (0, 1), (1, 1), (10**6, 0), (-1, 0)):
+            with pytest.raises(ValueError):
+                Graph.from_triangle_bits(n, bits)
+
     def test_pair_index_enumerates_upper_triangle(self):
         n = 6
         seen = [pair_index(i, j, n) for i in range(n) for j in range(i + 1, n)]

@@ -328,20 +328,26 @@ class TestWeylGroups:
         ],
     )
     def test_orbit_stabilizer(self, spec):
-        W = weyl_group_on_roots(spec)
+        W = weyl_group_on_roots(spec, (0,))
         assert is_transitive(W)
         stab = stabilizer_of_root(W, 0)
         assert stab.order() * len(roots(spec)) == W.order()
 
     def test_stabilizer_fixes_its_root(self):
-        W = weyl_group_on_roots(E8)
         r_index = roots(E8).index(standard_switching_root(E8))
+        W = weyl_group_on_roots(E8, (r_index,))
         stab = stabilizer_of_root(W, r_index)
         assert stab.order() == 2903040
         for g in stab.generators:
             assert g[r_index] == r_index
         with pytest.raises(ValueError):
             stabilizer_of_root(W, 240)
+
+    def test_stabilizer_needs_a_base_led_by_its_root(self):
+        # the stabilizer is the chain below r; no other base is rebuilt
+        W = weyl_group_on_roots(LatticeSpec("A", 3), (1,))
+        with pytest.raises(ValueError, match="base"):
+            stabilizer_of_root(W, 0)
 
     def test_induced_action_on_classes(self):
         r = standard_switching_root(E8)
