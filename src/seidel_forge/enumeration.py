@@ -20,12 +20,11 @@ from .root_lattices import (
     RootVector,
     classify_root_lattice,
     generates,
-    gram_determinant,
     gram_to_graph,
-    hnf,
     inner,
     orth_complement_in_E8,
     pair_classes,
+    rank_and_discriminant,
     reflect,
     roots,
     simple_roots,
@@ -196,13 +195,6 @@ def _class_indices(subset) -> list[int]:
     if idxs and not (0 <= idxs[0] and idxs[-1] < 28):
         raise ValueError("class index out of range 0..27")
     return idxs
-
-
-def _witness_basis(subset) -> list[RootVector]:
-    """Hermite basis of the witness lattice <u_1..u_n, r> of the subset."""
-    ctx = e8_context()
-    vectors = [ctx.classes[i].u for i in _class_indices(subset)] + [ctx.r]
-    return [RootVector(row) for row in hnf([list(v.coords2) for v in vectors])]
 
 
 def phi_graph(subset) -> Graph:
@@ -407,12 +399,14 @@ def verify_fiber_n6() -> dict:
             f"doubled keys {[k.hex for k in doubled]} != [key(K_6)] {k6_key.hex}"
         )
     fiber = doubled.get(k6_key, [])
+    ctx = e8_context()
     ranks, discs, min_norms = [], [], []
     for subset in fiber:
-        basis = _witness_basis(subset)
-        ranks.append(len(basis))
-        discs.append(gram_determinant(basis))
-        complement = orth_complement_in_E8(basis)
+        vectors = [ctx.classes[i].u for i in subset] + [ctx.r]
+        rk, disc = rank_and_discriminant(vectors)
+        ranks.append(rk)
+        discs.append(disc)
+        complement = orth_complement_in_E8(vectors)
         if len(complement) == 1:
             min_norms.append(inner(complement[0], complement[0]))
         else:
@@ -453,16 +447,15 @@ def verify_cao(samples: int = 500, seed: int = 0) -> dict:
         # one elimination per matrix gives both its PSD verdict and its rank
         pivots, eig_ok = _pivots(_three_i_minus_s(G).rows)
         cone_pivots, cone_ok = _pivots(cone_gram.rows)
-        record = {"n": n, "triangle_bits": G.triangle_bits()}
+        detail = None
         if eig_ok != cone_ok:
-            failures.append({**record, "detail": f"bound {eig_ok} vs cone {cone_ok}"})
-            continue
-        if eig_ok:
+            detail = f"bound {eig_ok} vs cone {cone_ok}"
+        elif eig_ok:
             bounded += 1
-            lhs = len(pivots) + 1
-            rhs = len(cone_pivots)
-            if lhs != rhs:
-                failures.append({**record, "detail": f"ranks {lhs} != {rhs}"})
+            if len(pivots) + 1 != len(cone_pivots):
+                detail = f"ranks {len(pivots) + 1} != {len(cone_pivots)}"
+        if detail:
+            failures.append({"n": n, "triangle_bits": G.triangle_bits(), "detail": detail})
     return {
         "ok": not failures,
         "samples": samples,
@@ -478,11 +471,11 @@ def verify_cao(samples: int = 500, seed: int = 0) -> dict:
 def reps_records(n: int) -> list[dict]:
     """One record per orbit representative: subset, class key, rank, and the
     root-lattice type generated by the witness vectors with r."""
-    out = []
+    ctx, out = e8_context(), []
     for subset in class_transversal(n):
         G = phi_graph(subset)
-        basis = _witness_basis(subset)
-        family = classify_root_lattice(len(basis), gram_determinant(basis))
+        vectors = [ctx.classes[i].u for i in subset] + [ctx.r]
+        family = classify_root_lattice(*rank_and_discriminant(vectors))
         out.append(
             {
                 "n": n,

@@ -7,7 +7,8 @@ A_n, n for D_n, 8 for E_6/E_7/E_8 (the E lattices are slices of E_8).
 
 The lattice operations are exact: Hermite normal forms, Gram determinants
 through the Bareiss elimination shared with `exact_linalg`, and Z-bases of
-orthogonal complements in E_8.
+orthogonal complements in E_8.  A lattice is named by its rank and
+discriminant.
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ __all__ = [
     "generates",
     "orth_complement_in_E8",
     "hnf",
-    "lattice_hnf",
+    "rank_and_discriminant",
     "in_lattice",
     "gram_determinant",
     "classify_root_lattice",
@@ -48,6 +49,8 @@ class RootVector(NamedTuple):
 
     @staticmethod
     def unit(i: int, dim: int) -> "RootVector":
+        if not 0 <= i < dim:
+            raise ValueError(f"unit index must be in 0..{dim - 1}")
         return RootVector(tuple(2 * int(k == i) for k in range(dim)))
 
     def __add__(self, other: "RootVector") -> "RootVector":
@@ -313,19 +316,14 @@ def hnf(rows: list[list[int]]) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in A[:r] if any(row))
 
 
-@lru_cache(maxsize=None)
-def lattice_hnf(spec: LatticeSpec) -> tuple[tuple[int, ...], ...]:
-    """HNF of the full lattice in doubled coordinates (roots generate it)."""
-    return hnf([list(v.coords2) for v in roots(spec)])
-
-
 def generates(vectors, spec: LatticeSpec) -> bool:
-    """True iff the integer span of the vectors is the whole lattice."""
+    """True iff the integer span of the vectors is the whole lattice: they
+    lie in it, and their span has its rank and discriminant."""
     vecs = list(vectors)
     for v in vecs:
         if not in_lattice(v, spec):
             raise ValueError(f"vector {v.coords2} is not in {spec.name}")
-    return hnf([list(v.coords2) for v in vecs]) == lattice_hnf(spec)
+    return rank_and_discriminant(vecs) == (spec.rank, spec.discriminant)
 
 
 def gram_determinant(vectors) -> int:
@@ -338,6 +336,15 @@ def gram_determinant(vectors) -> int:
     if len(pivots) < len(vecs):
         return 0
     return abs(pivots[-1]) if pivots else 1
+
+
+def rank_and_discriminant(vectors) -> tuple[int, int]:
+    """Rank and discriminant of the integer span of the vectors: a Hermite
+    basis of the span, then its Gram determinant.  A full-rank sublattice of
+    index k in L has discriminant k^2 disc(L) (Conway-Sloane, SPLAG, ch. 1),
+    so a sublattice of L with L's rank and discriminant is L."""
+    basis = [RootVector(row) for row in hnf([list(v.coords2) for v in vectors])]
+    return len(basis), gram_determinant(basis)
 
 
 def classify_root_lattice(rank: int, disc: int) -> str:
@@ -362,7 +369,7 @@ def orth_complement_in_E8(generators) -> list[RootVector]:
     for g in gens:
         if not in_lattice(g, e8):
             raise ValueError(f"vector {g.coords2} is not in E8")
-    B = [RootVector(row) for row in lattice_hnf(e8)]  # a Z-basis of E_8
+    B = simple_roots(roots(e8))  # a Z-basis of E_8
     # constraint matrix: row i gives the pairings of basis vector i with gens
     M = [[inner(b, g) for g in gens] for b in B]
     k = len(gens)

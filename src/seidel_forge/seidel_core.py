@@ -65,6 +65,8 @@ class Graph(NamedTuple("Graph", [("n", int), ("adj", tuple[int, ...])])):
     def from_edges(n: int, edges) -> "Graph":
         adj = [0] * n
         for i, j in edges:
+            if not (0 <= i < n and 0 <= j < n):
+                raise ValueError(f"edge endpoints must be in 0..{n - 1}")
             if i == j:
                 raise ValueError("loops are not allowed")
             adj[i] |= 1 << j

@@ -16,10 +16,10 @@ from seidel_forge.root_lattices import (
     hnf,
     in_lattice,
     inner,
-    lattice_hnf,
     n_r,
     orth_complement_in_E8,
     pair_classes,
+    rank_and_discriminant,
     reflect,
     roots,
     simple_roots,
@@ -126,6 +126,12 @@ class TestInnerProduct:
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError):
             inner(_unit(0, 3), _unit(0, 4))
+
+    def test_unit_index_range(self):
+        assert _unit(2, 3) == RootVector((0, 0, 2))
+        for i in (5, 3, -1):
+            with pytest.raises(ValueError, match=r"0\.\.2"):
+                _unit(i, 3)
 
 
 class TestInLattice:
@@ -272,6 +278,20 @@ class TestGenerates:
         a3 = [_unit(i, 4) - _unit(i + 1, 4) for i in range(3)]
         assert not generates(a3[:-1], LatticeSpec("A", 3))
 
+    # full-rank sublattices of index 2: only the discriminant, k^2 disc(L)
+    # at index k, tells them from the lattice
+    def test_integer_roots_of_e8_fail(self):
+        d8 = [v for v in roots(E8) if all(x % 2 == 0 for x in v.coords2)]
+        assert len(d8) == 112
+        assert rank_and_discriminant(d8) == (8, 4)  # they span D_8
+        assert not generates(d8, E8)
+
+    def test_doubled_simple_root_fails(self):
+        a3 = [_unit(i, 4) - _unit(i + 1, 4) for i in range(3)]
+        doubled = [a3[0].scaled(2)] + a3[1:]
+        assert rank_and_discriminant(doubled) == (3, 16)
+        assert not generates(doubled, LatticeSpec("A", 3))
+
     def test_non_member_rejected(self):
         with pytest.raises(ValueError):
             generates([_unit(0, 4)], LatticeSpec("A", 3))
@@ -285,8 +305,7 @@ class TestGramDeterminant:
         a2 = [_unit(0, 3) - _unit(1, 3), _unit(1, 3) - _unit(2, 3)]
         assert gram_determinant(a2) == 3
         assert gram_determinant([]) == 1
-        e8_basis = [RootVector(row) for row in lattice_hnf(E8)]
-        assert gram_determinant(e8_basis) == 1
+        assert gram_determinant(simple_roots(roots(E8))) == 1
         # a dependent family: e_1 - e_3 = (e_1 - e_2) + (e_2 - e_3)
         assert gram_determinant(a2 + [_unit(0, 3) - _unit(2, 3)]) == 0
 
@@ -334,8 +353,7 @@ class TestOrthComplement:
         assert gram_determinant(basis) == 2
 
     def test_full_lattice_gives_trivial_complement(self):
-        gens = [RootVector(row) for row in lattice_hnf(E8)]
-        assert orth_complement_in_E8(gens) == []
+        assert orth_complement_in_E8(simple_roots(roots(E8))) == []
 
     def test_rejects_outside_vectors(self):
         with pytest.raises(ValueError):

@@ -100,6 +100,9 @@ class TestGraph:
             Graph(2, (0b10, 0b00))  # asymmetric
         with pytest.raises(ValueError):
             Graph(33, tuple([0] * 33))  # beyond vertex limit
+        for edge in ((0, 5), (0, -1), (3, 1)):
+            with pytest.raises(ValueError, match=r"0\.\.2"):
+                Graph.from_edges(3, [edge])
 
     def test_constructors(self):
         assert Graph.complete(4).edges() == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
