@@ -13,7 +13,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .canon import _switch_rows
-from .exact_linalg import IntMatrix, _pivots, rank
+from .exact_linalg import IntMatrix, _pivots
 from .root_lattices import (
     LatticeSpec,
     PairClass,
@@ -290,10 +290,11 @@ def construct_Dst_class(n: int, m: int) -> SwitchingClassKey:
     return canonical_key(dst_witness(n, m).graph)
 
 
-def _three_i_minus_s(G: Graph) -> IntMatrix:
-    """3I - S(G): 3 on the diagonal, 1 on edges and -1 on non-edges."""
-    return IntMatrix(tuple(
-        tuple(3 if i == j else 2 * (a >> j & 1) - 1 for j in range(G.n)) for i, a in enumerate(G.adj)))
+def _rank_and_bound(G: Graph) -> tuple[int, bool]:
+    """(rank(3I - S(G)), lambda_max(S(G)) <= 3) by one elimination of 3I - S:
+    3 on the diagonal, 1 on edges and -1 on non-edges."""
+    pivots, psd = _pivots([3 if i == j else 2 * (a >> j & 1) - 1 for j in range(G.n)] for i, a in enumerate(G.adj))
+    return len(pivots), psd
 
 
 def _d_range(n: int) -> range:
@@ -314,7 +315,7 @@ def s_table(n_max: int = 28) -> STable:
     """Tables s(0..n_max) and s_e(0..n_max).
 
     For n <= 7 every class has rank(3I - S) <= 7, so s(n) = omega(n); the
-    eigenvalue-3 subcount comes from the ranks of the representatives' graphs.
+    eigenvalue-3 subcount comes from the ranks of reps_records(n).
     For n >= 8 the omega(n) classes of rank <= 7 < n, all with eigenvalue 3,
     are joined by K_n from A_{n+1} (rank n) and one class per D_m in the
     feasible range (rank m - 1), which has eigenvalue 3 exactly when m <= n.
@@ -326,8 +327,7 @@ def s_table(n_max: int = 28) -> STable:
     for n in range(n_max + 1):
         w = table.omega[n]
         if n <= 7:
-            graphs = map(phi_graph, class_transversal(n))
-            ranks = {canonical_key(G): rank(_three_i_minus_s(G)) for G in graphs}
+            ranks = {r["key_hex"]: r["rank"] for r in reps_records(n)}
             eig3 = sum(1 for rk in ranks.values() if rk < n)
             s.append(w)
             s_e.append(eig3)
@@ -361,11 +361,10 @@ def brute_force_counts(n: int) -> tuple[int, int, int]:
         raise ValueError("brute force supports n <= 7 only")
     s = s_e = omega = 0
     for packed in switching_class_representatives(n):
-        pivots, psd = _pivots(_three_i_minus_s(Graph.from_triangle_bits(n, packed)).rows)
-        if not psd:  # lambda_max(S) <= 3
+        rk, bounded = _rank_and_bound(Graph.from_triangle_bits(n, packed))
+        if not bounded:
             continue
         s += 1
-        rk = len(pivots)
         if rk < n:
             s_e += 1
         if rk <= 7:
@@ -445,15 +444,15 @@ def verify_cao(samples: int = 500, seed: int = 0) -> dict:
         G = Graph.from_triangle_bits(n, rng.getrandbits(n * (n - 1) // 2))
         cone_gram = adjacency_matrix(cone(G)).add(IntMatrix.identity(G.n + 1).scale(2))
         # one elimination per matrix gives both its PSD verdict and its rank
-        pivots, eig_ok = _pivots(_three_i_minus_s(G).rows)
+        rk, eig_ok = _rank_and_bound(G)
         cone_pivots, cone_ok = _pivots(cone_gram.rows)
         detail = None
         if eig_ok != cone_ok:
             detail = f"bound {eig_ok} vs cone {cone_ok}"
         elif eig_ok:
             bounded += 1
-            if len(pivots) + 1 != len(cone_pivots):
-                detail = f"ranks {len(pivots) + 1} != {len(cone_pivots)}"
+            if rk + 1 != len(cone_pivots):
+                detail = f"ranks {rk + 1} != {len(cone_pivots)}"
         if detail:
             failures.append({"n": n, "triangle_bits": G.triangle_bits(), "detail": detail})
     return {
@@ -469,20 +468,20 @@ def verify_cao(samples: int = 500, seed: int = 0) -> dict:
 
 
 def reps_records(n: int) -> list[dict]:
-    """One record per orbit representative: subset, class key, rank, and the
-    root-lattice type generated by the witness vectors with r."""
+    """One record per orbit representative: subset, class key, rank of
+    3I - S and the root-lattice type of the witness lattice <u_1..u_n, r>.
+    That rank less one is rank(3I - S): x_i = 2u_i - r is orthogonal to r,
+    and the x_i have Gram matrix 2(3I - S), as (x_i, x_j) = 4(u_i, u_j) - 2."""
     ctx, out = e8_context(), []
     for subset in class_transversal(n):
-        G = phi_graph(subset)
-        vectors = [ctx.classes[i].u for i in subset] + [ctx.r]
-        family = classify_root_lattice(*rank_and_discriminant(vectors))
+        rk, disc = rank_and_discriminant([ctx.classes[i].u for i in subset] + [ctx.r])
         out.append(
             {
                 "n": n,
                 "subset": list(subset),
-                "key_hex": canonical_key(G).hex,
-                "rank": rank(_three_i_minus_s(G)),
-                "lattice_family": family,
+                "key_hex": phi(subset).hex,
+                "rank": rk - 1,
+                "lattice_family": classify_root_lattice(rk, disc),
             }
         )
     return out

@@ -10,10 +10,9 @@ from argparse import Namespace
 
 from .canon import canonical_form_bits
 from .enumeration import (
-    _three_i_minus_s, brute_force_counts, class_transversal, construct_Kn_class, dst_witness,
+    _rank_and_bound, brute_force_counts, class_transversal, construct_Kn_class, dst_witness,
     e8_context, omega_table, phi, s_table, verify_cao, verify_fiber_n6,
 )
-from .exact_linalg import _pivots
 from .root_lattices import n_r, roots
 from .seidel_core import Graph, canonical_key
 from .weyl_orbits import (
@@ -109,8 +108,7 @@ def _check_lem_sd(cfg: Namespace) -> tuple[list[str], str]:
             if canonical_form_bits(w.graph.adj) != canonical_form_bits(target.adj):
                 problems.append(f"({n}, {m}): graph is not D_{m - 2},{n - m + 2}")
                 continue
-            pivots, psd = _pivots(_three_i_minus_s(w.graph).rows)
-            rk = len(pivots)
+            rk, psd = _rank_and_bound(w.graph)
             if rk != m - 1:
                 problems.append(f"({n}, {m}): rank {rk} != {m - 1}")
             if not psd:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
-from operator import mul
+from operator import add, mul, sub
 from typing import NamedTuple
 
 from .exact_linalg import _pivots
@@ -54,10 +54,10 @@ class RootVector(NamedTuple):
         return RootVector(tuple(2 * int(k == i) for k in range(dim)))
 
     def __add__(self, other: "RootVector") -> "RootVector":
-        return RootVector(tuple(a + b for a, b in zip(self.coords2, other.coords2)))
+        return RootVector(tuple(map(add, self.coords2, _same_dim(self, other))))
 
     def __sub__(self, other: "RootVector") -> "RootVector":
-        return RootVector(tuple(a - b for a, b in zip(self.coords2, other.coords2)))
+        return RootVector(tuple(map(sub, self.coords2, _same_dim(self, other))))
 
     def __neg__(self) -> "RootVector":
         return RootVector(tuple(-a for a in self.coords2))
@@ -66,11 +66,16 @@ class RootVector(NamedTuple):
         return RootVector(tuple(c * a for a in self.coords2))
 
 
-def inner(u: RootVector, v: RootVector) -> int:
-    """Exact inner product; rejects pairs whose product is not integral."""
+def _same_dim(u: RootVector, v: RootVector) -> tuple[int, ...]:
+    """v's coordinates, once they are checked to be as many as u's."""
     if len(u.coords2) != len(v.coords2):
         raise ValueError("dimension mismatch")
-    d = sum(map(mul, u.coords2, v.coords2))
+    return v.coords2
+
+
+def inner(u: RootVector, v: RootVector) -> int:
+    """Exact inner product; rejects pairs whose product is not integral."""
+    d = sum(map(mul, u.coords2, _same_dim(u, v)))
     if d % 4:
         raise ValueError(f"non-integral inner product {d}/4")
     return d // 4
@@ -178,10 +183,8 @@ def roots(spec: LatticeSpec) -> tuple[RootVector, ...]:
         for signs in product((1, -1), repeat=8):
             if signs.count(1) % 2 == 0:
                 out.append(signs)
-        if spec.rank <= 7:
-            out = [v for v in out if v[0] == v[1]]
-        if spec.rank == 6:
-            out = [v for v in out if v[1] == v[2]]
+        if spec.rank <= 7:  # E_7, E_6: the E_8 roots orthogonal to in_lattice's walls
+            out = [v for v in out if in_lattice(RootVector(v), spec)]
     return tuple(RootVector(v) for v in sorted(out))
 
 

@@ -63,6 +63,7 @@ class Graph(NamedTuple("Graph", [("n", int), ("adj", tuple[int, ...])])):
 
     @staticmethod
     def from_edges(n: int, edges) -> "Graph":
+        _check_vertex_count(n)
         adj = [0] * n
         for i, j in edges:
             if not (0 <= i < n and 0 <= j < n):
@@ -75,19 +76,23 @@ class Graph(NamedTuple("Graph", [("n", int), ("adj", tuple[int, ...])])):
 
     @staticmethod
     def empty(n: int) -> "Graph":
+        _check_vertex_count(n)
         return Graph(n, (0,) * n)
 
     @staticmethod
     def complete(n: int) -> "Graph":
+        _check_vertex_count(n)
         full = (1 << n) - 1
         return Graph(n, tuple(full ^ (1 << v) for v in range(n)))
 
     @staticmethod
     def cycle(n: int) -> "Graph":
+        _check_vertex_count(n)
         return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)]) if n >= 3 else Graph.path(n)
 
     @staticmethod
     def path(n: int) -> "Graph":
+        _check_vertex_count(n)
         return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
     @staticmethod

@@ -26,7 +26,7 @@ from seidel_forge.enumeration import (
     verify_cao,
     verify_fiber_n6,
 )
-from seidel_forge.exact_linalg import IntMatrix, max_eig_le, rank
+from seidel_forge.exact_linalg import IntMatrix, is_psd, max_eig_le, rank
 from seidel_forge.root_lattices import (
     RootVector,
     gram_determinant,
@@ -347,12 +347,14 @@ class TestOmegaTable:
 
 class TestThreeIMinusS:
     def test_built_from_adjacency(self):
-        # one pass over G.adj gives the same matrix as 3I - S(G)
+        # one pass over G.adj gives the rank and PSD verdict of 3I - S(G)
         rng = random.Random(3)
-        for n in range(9):
-            G = Graph.from_triangle_bits(n, rng.getrandbits(n * (n - 1) // 2))
-            expected = IntMatrix.identity(n).scale(3).sub(seidel_of_graph(G))
-            assert enumeration._three_i_minus_s(G) == expected
+        graphs = [Graph.from_triangle_bits(n, rng.getrandbits(n * (n - 1) // 2)) for n in range(9)]
+        graphs += [Graph.complete(n) for n in range(11)]
+        graphs += [Graph.complete_minus_matching(s, t) for s in range(1, 8) for t in range(s + 1)]
+        for G in graphs:
+            M = IntMatrix.identity(G.n).scale(3).sub(seidel_of_graph(G))
+            assert enumeration._rank_and_bound(G) == (rank(M), is_psd(M))
 
 
 class TestFamilyWitnesses:
@@ -500,6 +502,13 @@ class TestExports:
                 "lattice_family": "A2",
             }
         ]
+
+    def test_reps_rank_is_rank_of_3i_minus_s(self):
+        # reps reads the rank off the witness lattice, whose rank is one more
+        records = [rec for n in range(29) for rec in reps_records(n)]
+        assert len(records) == 931
+        for rec in records:
+            assert rec["rank"] == _rank_3i_minus_s(phi_graph(rec["subset"]))
 
     def test_reps_records_families_at_n7(self):
         families = {r["lattice_family"] for r in reps_records(7)}

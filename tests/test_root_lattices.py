@@ -1,4 +1,5 @@
 """Root systems, lattice membership, Gram graphs, and orthogonal complements."""
+import operator
 import random
 
 import pytest
@@ -79,6 +80,12 @@ class TestRoots:
                 assert inner(v, v) == 2
                 assert in_lattice(v, spec)
 
+    def test_e7_e6_are_coordinate_slices_of_e8(self):
+        # E_7: the E_8 roots with x_1 = x_2; E_6: those with x_1 = x_2 = x_3
+        e8 = [v.coords2 for v in roots(E8)]
+        assert [v.coords2 for v in roots(LatticeSpec("E", 7))] == [v for v in e8 if v[0] == v[1]]
+        assert [v.coords2 for v in roots(LatticeSpec("E", 6))] == [v for v in e8 if v[0] == v[1] == v[2]]
+
     def test_sorted_deterministically(self):
         rs = roots(E8)
         assert [v.coords2 for v in rs] == sorted(v.coords2 for v in rs)
@@ -124,8 +131,11 @@ class TestInnerProduct:
             inner(RootVector((1,) * 8), _unit(0))
 
     def test_rejects_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            inner(_unit(0, 3), _unit(0, 4))
+        # zip would stop at the shorter vector: (2, 0) + (2, 0, 0) = (4, 0)
+        for op in (inner, operator.add, operator.sub):
+            for u, v in ((_unit(0, 3), _unit(0, 4)), (RootVector((2, 0)), RootVector((2, 0, 0)))):
+                with pytest.raises(ValueError, match="dimension mismatch"):
+                    op(u, v)
 
     def test_unit_index_range(self):
         assert _unit(2, 3) == RootVector((0, 0, 2))

@@ -1,6 +1,7 @@
 """Graphs, switching, Seidel matrices, and switching-class keys."""
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 import sympy
@@ -113,6 +114,31 @@ class TestGraph:
         assert Graph.complete_minus_matching(2, 1).edges() == [(0, 2), (1, 2)]
         with pytest.raises(ValueError):
             Graph.complete_minus_matching(2, 3)
+
+    @pytest.mark.parametrize(
+        "build,args",
+        [
+            (Graph.empty, (10**6,)),
+            (Graph.from_edges, (10**6, [])),
+            (Graph.complete, (10**4,)),
+            (Graph.path, (10**4,)),
+            (Graph.cycle, (10**4,)),
+            (Graph.complete, (-1,)),
+            (Graph.from_edges, (-1, [(0, 1)])),
+        ],
+        ids=["empty-1e6", "from_edges-1e6", "complete-1e4", "path-1e4", "cycle-1e4",
+             "complete-neg", "from_edges-neg"],
+    )
+    def test_vertex_count_checked_before_building(self, build, args):
+        # building these first would take from 8 to 16 MB
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"vertex count must be in 0\.\.32"):
+                build(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
 
     @settings(max_examples=80, deadline=None)
     @given(graphs())
