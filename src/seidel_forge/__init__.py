@@ -37,14 +37,13 @@ from .root_lattices import (
 from .weyl_orbits import PermGroup, burnside_subset_counts
 from .enumeration import (
     E8Context,
-    FamilyWitness,
     OmegaTable,
     STable,
+    Witness,
     brute_force_counts,
-    construct_Dst_class,
-    construct_Kn_class,
     dst_witness,
     e8_context,
+    e8_witness,
     kn_witness,
     omega_table,
     phi,
@@ -86,14 +85,13 @@ __all__ = [
     "PermGroup",
     "burnside_subset_counts",
     "E8Context",
-    "FamilyWitness",
     "OmegaTable",
     "STable",
+    "Witness",
     "brute_force_counts",
-    "construct_Dst_class",
-    "construct_Kn_class",
     "dst_witness",
     "e8_context",
+    "e8_witness",
     "kn_witness",
     "omega_table",
     "phi",

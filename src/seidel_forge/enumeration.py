@@ -3,7 +3,8 @@
 Ties everything together: the orderly ladder of orbit representatives of
 subsets of the 28 pair-classes of E_8, the map phi from those subsets to
 switching classes on n vertices (it restricts the graph of the 28 classes to
-the subset), the one-class A- and D-family constructions, the omega / s / s_e count tables, the two-element fiber at
+the subset), one witness record for an E_8 subset and for each one-class A-
+or D-family, the omega / s / s_e count tables, the two-element fiber at
 n = 6, and independent brute-force and random-graph cross-checks.
 """
 from __future__ import annotations
@@ -51,11 +52,10 @@ __all__ = [
     "phi_graph",
     "OmegaTable",
     "omega_table",
-    "FamilyWitness",
+    "Witness",
+    "e8_witness",
     "kn_witness",
-    "construct_Kn_class",
     "dst_witness",
-    "construct_Dst_class",
     "STable",
     "s_table",
     "brute_force_counts",
@@ -234,25 +234,36 @@ def omega_table() -> OmegaTable:
     return OmegaTable(tuple(omega), tuple(c))
 
 
-class FamilyWitness(NamedTuple):
-    """Root-lattice witness of a one-class family: the vectors, the switching
-    root, and the graph of the Gram matrix."""
+class Witness(NamedTuple):
+    """Roots u_1..u_n with (u_i, r) = 1 for the switching root r; graph has
+    Gram matrix A + 2I on them, and lattice is the (rank, discriminant) of
+    <u_1..u_n, r>.  rank - 1 = rank(3I - S(graph)): x_i = 2u_i - r is
+    orthogonal to r, and the x_i have Gram matrix 2(3I - S), as (x_i, x_j)
+    = 4(u_i, u_j) - 2."""
 
-    spec: LatticeSpec
     r: RootVector
     vectors: tuple[RootVector, ...]
     graph: Graph
+    lattice: tuple[int, int]
 
 
-def _witness(spec: LatticeSpec, vectors: tuple[RootVector, ...]) -> FamilyWitness:
+def e8_witness(subset) -> Witness:
+    """Witness of an n-subset of the pair-classes: r, the representatives of
+    its classes in phi_graph's vertex order, and phi_graph(subset)."""
+    ctx, graph = e8_context(), phi_graph(subset)
+    vectors = tuple(ctx.classes[i].u for i in _class_indices(subset))
+    return Witness(ctx.r, vectors, graph, rank_and_discriminant([*vectors, ctx.r]))
+
+
+def _witness(spec: LatticeSpec, vectors: tuple[RootVector, ...]) -> Witness:
     """Witness of vectors that, with the standard switching root, generate spec."""
     r = standard_switching_root(spec)
-    if not generates(list(vectors) + [r], spec):
+    if not generates([*vectors, r], spec):
         raise RuntimeError(f"witness vectors fail to generate {spec.name}")
-    return FamilyWitness(spec, r, vectors, gram_to_graph(vectors))
+    return Witness(r, vectors, gram_to_graph(vectors), (spec.rank, spec.discriminant))
 
 
-def kn_witness(n: int) -> FamilyWitness:
+def kn_witness(n: int) -> Witness:
     """Witness for [S(K_n)] inside A_{n+1}: vectors e_i - e_{n+2} (i = 1..n)
     with switching root r = e_{n+1} - e_{n+2} (1-indexed coordinates)."""
     _check_vertex_count(n)
@@ -263,12 +274,7 @@ def kn_witness(n: int) -> FamilyWitness:
     return _witness(spec, vectors)
 
 
-def construct_Kn_class(n: int) -> SwitchingClassKey:
-    """The unique class over A_{n+1}: the switching class of K_n."""
-    return canonical_key(kn_witness(n).graph)
-
-
-def dst_witness(n: int, m: int) -> FamilyWitness:
+def dst_witness(n: int, m: int) -> Witness:
     """Witness for [S(D_{m-2,n-m+2})] inside D_m: vectors e_m + e_i
     (i = 1..m-2) and e_m - e_i (i = 1..n-m+2), r = e_{m-1} + e_m."""
     _check_vertex_count(n)
@@ -282,12 +288,6 @@ def dst_witness(n: int, m: int) -> FamilyWitness:
     minus = [em - RootVector.unit(i, m) for i in range(n - m + 2)]
     vectors = tuple(plus + minus)
     return _witness(spec, vectors)
-
-
-def construct_Dst_class(n: int, m: int) -> SwitchingClassKey:
-    """The unique class over D_m on n vertices: the switching class of
-    D_{m-2,n-m+2} (complete graph minus a matching)."""
-    return canonical_key(dst_witness(n, m).graph)
 
 
 def _rank_and_bound(G: Graph) -> tuple[int, bool]:
@@ -398,14 +398,12 @@ def verify_fiber_n6() -> dict:
             f"doubled keys {[k.hex for k in doubled]} != [key(K_6)] {k6_key.hex}"
         )
     fiber = doubled.get(k6_key, [])
-    ctx = e8_context()
     ranks, discs, min_norms = [], [], []
     for subset in fiber:
-        vectors = [ctx.classes[i].u for i in subset] + [ctx.r]
-        rk, disc = rank_and_discriminant(vectors)
-        ranks.append(rk)
-        discs.append(disc)
-        complement = orth_complement_in_E8(vectors)
+        w = e8_witness(subset)
+        ranks.append(w.lattice[0])
+        discs.append(w.lattice[1])
+        complement = orth_complement_in_E8([*w.vectors, w.r])
         if len(complement) == 1:
             min_norms.append(inner(complement[0], complement[0]))
         else:
@@ -469,17 +467,16 @@ def verify_cao(samples: int = 500, seed: int = 0) -> dict:
 
 def reps_records(n: int) -> list[dict]:
     """One record per orbit representative: subset, class key, rank of
-    3I - S and the root-lattice type of the witness lattice <u_1..u_n, r>.
-    That rank less one is rank(3I - S): x_i = 2u_i - r is orthogonal to r,
-    and the x_i have Gram matrix 2(3I - S), as (x_i, x_j) = 4(u_i, u_j) - 2."""
-    ctx, out = e8_context(), []
+    3I - S and the root-lattice type, all read off its e8_witness."""
+    out = []
     for subset in class_transversal(n):
-        rk, disc = rank_and_discriminant([ctx.classes[i].u for i in subset] + [ctx.r])
+        w = e8_witness(subset)
+        rk, disc = w.lattice
         out.append(
             {
                 "n": n,
                 "subset": list(subset),
-                "key_hex": phi(subset).hex,
+                "key_hex": canonical_key(w.graph).hex,
                 "rank": rk - 1,
                 "lattice_family": classify_root_lattice(rk, disc),
             }

@@ -10,11 +10,11 @@ from argparse import Namespace
 
 from .canon import canonical_form_bits
 from .enumeration import (
-    _rank_and_bound, brute_force_counts, class_transversal, construct_Kn_class, dst_witness,
-    e8_context, omega_table, phi, s_table, verify_cao, verify_fiber_n6,
+    Witness, _rank_and_bound, brute_force_counts, class_transversal, dst_witness, e8_context,
+    kn_witness, omega_table, phi, s_table, verify_cao, verify_fiber_n6,
 )
 from .root_lattices import n_r, roots
-from .seidel_core import Graph, canonical_key
+from .seidel_core import Graph
 from .weyl_orbits import (
     PermGroup, induced_action_on_classes, stabilizer_of_root, weyl_group_on_roots,
 )
@@ -88,35 +88,37 @@ def _check_lem_a(cfg: Namespace) -> tuple[list[str], str]:
     )
 
 
+def _family_problems(w: Witness, target: Graph, eig3: bool, label: str, mismatch: str) -> list[str]:
+    """A family witness's graph must be target up to isomorphism (else only
+    the mismatch is reported), its rank(3I - S) its lattice rank less one,
+    lambda_max <= 3, and 3 an eigenvalue exactly when eig3."""
+    if canonical_form_bits(w.graph.adj) != canonical_form_bits(target.adj):
+        return [mismatch]
+    rk, psd = _rank_and_bound(w.graph)
+    problems = []
+    if rk != w.lattice[0] - 1:
+        problems.append(f"{label}: rank {rk} != {w.lattice[0] - 1}")
+    if not psd:
+        problems.append(f"{label}: lambda_max > 3")
+    if (rk < w.graph.n) != eig3:
+        problems.append(f"{label}: eigenvalue-3 boundary wrong")
+    return problems
+
+
 def _check_lem_sa(cfg: Namespace) -> tuple[list[str], str]:
-    problems = [
-        f"K_n mismatch at n = {n}"
-        for n in range(11)
-        if construct_Kn_class(n) != canonical_key(Graph.complete(n))
-    ]
+    # 3I - S(K_n) = 2I + J is positive definite: rank n, never eigenvalue 3
+    problems = [p for n in range(11) for p in _family_problems(
+        kn_witness(n), Graph.complete(n), False, f"n = {n}", f"K_n mismatch at n = {n}")]
     return problems, "A_{n+1} witness reproduces [S(K_n)] for n = 0..10"
 
 
 def _check_lem_sd(cfg: Namespace) -> tuple[list[str], str]:
-    problems = []
-    pairs = 0
-    for m in range(4, 13):
-        for n in range(m - 1, 2 * (m - 2) + 1):
-            pairs += 1
-            w = dst_witness(n, m)
-            target = Graph.complete_minus_matching(m - 2, n - m + 2)
-            if canonical_form_bits(w.graph.adj) != canonical_form_bits(target.adj):
-                problems.append(f"({n}, {m}): graph is not D_{m - 2},{n - m + 2}")
-                continue
-            rk, psd = _rank_and_bound(w.graph)
-            if rk != m - 1:
-                problems.append(f"({n}, {m}): rank {rk} != {m - 1}")
-            if not psd:
-                problems.append(f"({n}, {m}): lambda_max > 3")
-            if (rk < n) != (n >= m):
-                problems.append(f"({n}, {m}): eigenvalue-3 boundary wrong")
+    pairs = [(n, m) for m in range(4, 13) for n in range(m - 1, 2 * (m - 2) + 1)]
+    problems = [p for n, m in pairs for p in _family_problems(
+        dst_witness(n, m), Graph.complete_minus_matching(m - 2, n - m + 2), n >= m,
+        f"({n}, {m})", f"({n}, {m}): graph is not D_{m - 2},{n - m + 2}")]
     return problems, (
-        f"{pairs} feasible (n, m) with m <= 12: graph D_(m-2),(n-m+2), "
+        f"{len(pairs)} feasible (n, m) with m <= 12: graph D_(m-2),(n-m+2), "
         "rank m - 1, eigenvalue 3 exactly when n >= m"
     )
 

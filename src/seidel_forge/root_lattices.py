@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
-from operator import add, mul, sub
+from operator import add, index, mul, sub
 from typing import NamedTuple
 
 from .exact_linalg import _pivots
@@ -95,6 +95,7 @@ class LatticeSpec(NamedTuple("LatticeSpec", [("family", str), ("rank", int)])):
     __slots__ = ()
 
     def __new__(cls, family: str, rank: int) -> "LatticeSpec":
+        rank = index(rank)
         if family == "A":
             if rank < 1:
                 raise ValueError("A_n requires n >= 1")

@@ -97,9 +97,9 @@ class Graph(NamedTuple("Graph", [("n", int), ("adj", tuple[int, ...])])):
 
     @staticmethod
     def complete_minus_matching(s: int, t: int) -> "Graph":
-        """K_{s+t} minus a matching of size t (t <= s): the graph D_{s,t}."""
-        if t > s:
-            raise ValueError("matching size t must not exceed s")
+        """K_{s+t} minus a matching of size t (0 <= t <= s): the graph D_{s,t}."""
+        if not 0 <= t <= s:
+            raise ValueError("matching size t must be in 0..s")
         n = s + t
         g = Graph.complete(n)
         adj = list(g.adj)

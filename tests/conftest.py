@@ -1,8 +1,17 @@
 """Session hooks: print a one-line ledger entry per acceptance criterion;
-share the E_8 transversal scan between the tests that compare against it."""
+share the E_8 transversal scan between the tests that compare against it,
+and the reference 3I - S that the rank checks compare with."""
 from functools import lru_cache
 
 import pytest
+
+from seidel_forge.exact_linalg import IntMatrix
+from seidel_forge.seidel_core import seidel_of_graph
+
+
+def three_i_minus_s(G) -> IntMatrix:
+    """3I - S(G), built from the Seidel matrix as the paper defines it."""
+    return IntMatrix.identity(G.n).scale(3).sub(seidel_of_graph(G))
 
 _registered: dict[str, str] = {}
 _outcomes: dict[str, str] = {}

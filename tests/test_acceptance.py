@@ -5,10 +5,10 @@ tolerances anywhere in the pipeline.
 """
 import pytest
 
+from conftest import three_i_minus_s
 from seidel_forge.canon import canonical_form_bits
 from seidel_forge.enumeration import (
     brute_force_counts,
-    construct_Kn_class,
     dst_witness,
     e8_context,
     kn_witness,
@@ -17,7 +17,7 @@ from seidel_forge.enumeration import (
     verify_cao,
     verify_fiber_n6,
 )
-from seidel_forge.exact_linalg import IntMatrix, max_eig_le, rank
+from seidel_forge.exact_linalg import max_eig_le, rank
 from seidel_forge.root_lattices import LatticeSpec, classify_root_lattice, n_r, roots
 from seidel_forge.seidel_core import Graph, canonical_key, seidel_of_graph
 from seidel_forge.weyl_orbits import stabilizer_of_root, weyl_group_on_roots
@@ -29,10 +29,6 @@ OMEGA_REFERENCE = (
 )
 S_REFERENCE = (1, 1, 1, 2, 3, 5, 9, 16, 25, 40, 58, 75, 96, 108)
 SE_REFERENCE = (0, 0, 0, 0, 1, 1, 4, 9, 23, 38, 56, 73, 94, 106)
-
-
-def _rank_3i_minus_s(G):
-    return rank(IntMatrix.identity(G.n).scale(3).sub(seidel_of_graph(G)))
 
 
 def test_criterion_1_omega_table():
@@ -125,7 +121,7 @@ def test_criterion_8_cone_equivalence_suite():
 def test_criterion_9_family_constructions():
     """criterion 9: K_n keys for n <= 10; every feasible (n, m), m <= 12, gives D_(m-2),(n-m+2) with rank m - 1 and eigenvalue 3 exactly when n >= m (at n = m - 1 the bound is strict)."""
     for n in range(11):
-        assert construct_Kn_class(n) == canonical_key(Graph.complete(n))
+        assert canonical_key(kn_witness(n).graph) == canonical_key(Graph.complete(n))
         if n:
             assert kn_witness(n).graph == Graph.complete(n)
     pairs = 0
@@ -136,7 +132,7 @@ def test_criterion_9_family_constructions():
             target = Graph.complete_minus_matching(m - 2, n - m + 2)
             assert canonical_form_bits(w.graph.adj) == canonical_form_bits(target.adj)
             assert max_eig_le(seidel_of_graph(w.graph), 3)
-            rk = _rank_3i_minus_s(w.graph)
+            rk = rank(three_i_minus_s(w.graph))
             assert rk == m - 1
             # 3 is an eigenvalue of S iff 3I - S is singular, i.e. rank < n;
             # with rank always m - 1 this happens exactly when n >= m
@@ -153,4 +149,4 @@ def test_boundary_families_do_not_reach_eigenvalue_3():
     # the blanket form of the family claim: eigenvalue exactly 3 for every
     # feasible pair -- refuted by the boundary witness (n, m) = (3, 4)
     w = dst_witness(3, 4)
-    assert _rank_3i_minus_s(w.graph) < w.graph.n
+    assert rank(three_i_minus_s(w.graph)) < w.graph.n

@@ -244,8 +244,8 @@ class TestVerify:
         ("thm:Cao", "verify_cao", lambda samples, seed: {
             **enumeration.verify_cao(samples, seed), "failures": [{"detail": "planted"}]},
          "1 failures"),
-        ("lem:S(A)", "construct_Kn_class",
-         lambda n: enumeration.construct_Kn_class(4 if n == 5 else n), "K_n mismatch at n = 5"),
+        ("lem:S(A)", "kn_witness",
+         lambda n: enumeration.kn_witness(4 if n == 5 else n), "K_n mismatch at n = 5"),
         ("lem:S(D)", "dst_witness",
          lambda n, m: enumeration.dst_witness(7 if (n, m) == (8, 6) else n, m),
          "(8, 6): graph is not D_4,4"),
@@ -269,6 +269,18 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--only", name)
         assert code == 1
         assert out == f"[FAIL] {name}  {detail}\n"
+
+    def test_lem_sa_checks_the_witness_rank(self, capsys, monkeypatch):
+        # a K_5 witness whose lattice claims one rank too many: rank(3I - S)
+        # no longer equals the lattice rank less one, and nothing else fails
+        def off_by_one(n):
+            w = enumeration.kn_witness(n)
+            return w._replace(lattice=(w.lattice[0] + 1, w.lattice[1])) if n == 5 else w
+
+        monkeypatch.setattr(ledger, "kn_witness", off_by_one)
+        code, out, _ = run(capsys, "verify", "--only", "lem:S(A)")
+        assert code == 1
+        assert out == "[FAIL] lem:S(A)  n = 5: rank 5 != 6\n"
 
     def test_one_run_computes_the_n6_fiber_once(self, capsys, monkeypatch):
         # lem:A reads its min norms and thm:sym its failures from one report

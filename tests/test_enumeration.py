@@ -5,18 +5,17 @@ from itertools import combinations
 
 import pytest
 
+from conftest import three_i_minus_s
 from seidel_forge import enumeration
 from seidel_forge.canon import canonical_form_bits
 from seidel_forge.enumeration import (
     SCHEMA_VERSION,
-    OmegaTable,
     _orderly_ladder,
     brute_force_counts,
     class_transversal,
-    construct_Dst_class,
-    construct_Kn_class,
     dst_witness,
     e8_context,
+    e8_witness,
     kn_witness,
     omega_table,
     phi,
@@ -29,18 +28,16 @@ from seidel_forge.enumeration import (
 from seidel_forge.exact_linalg import IntMatrix, is_psd, max_eig_le, rank
 from seidel_forge.root_lattices import (
     RootVector,
+    classify_root_lattice,
     gram_determinant,
     gram_to_graph,
     inner,
+    rank_and_discriminant,
     reflect,
     roots,
 )
-from seidel_forge.seidel_core import Graph, canonical_key, seidel_of_graph, switch
+from seidel_forge.seidel_core import Graph, adjacency_matrix, canonical_key, seidel_of_graph, switch
 from seidel_forge.weyl_orbits import _compose
-
-
-def _rank_3i_minus_s(G):
-    return rank(IntMatrix.identity(G.n).scale(3).sub(seidel_of_graph(G)))
 
 
 def _random_word(gens, rng):
@@ -145,7 +142,7 @@ class TestTransversalProperties:
         for subset in class_transversal(n):
             G = phi_graph(subset)
             assert max_eig_le(seidel_of_graph(G), 3)
-            assert _rank_3i_minus_s(G) <= 7
+            assert rank(three_i_minus_s(G)) <= 7
 
     @pytest.mark.parametrize("n", range(29))
     def test_phi_injectivity_up_to_known_fiber(self, n):
@@ -353,7 +350,7 @@ class TestThreeIMinusS:
         graphs += [Graph.complete(n) for n in range(11)]
         graphs += [Graph.complete_minus_matching(s, t) for s in range(1, 8) for t in range(s + 1)]
         for G in graphs:
-            M = IntMatrix.identity(G.n).scale(3).sub(seidel_of_graph(G))
+            M = three_i_minus_s(G)
             assert enumeration._rank_and_bound(G) == (rank(M), is_psd(M))
 
 
@@ -361,11 +358,10 @@ class TestFamilyWitnesses:
     def test_kn_small(self):
         w = kn_witness(3)
         assert w.graph == Graph.complete(3)
-        assert w.spec.name == "A4"
-        assert construct_Kn_class(3) == canonical_key(Graph.complete(3))
+        assert classify_root_lattice(*w.lattice) == "A4"
 
     def test_kn_zero(self):
-        assert construct_Kn_class(0) == canonical_key(Graph.empty(0))
+        assert canonical_key(kn_witness(0).graph) == canonical_key(Graph.empty(0))
         with pytest.raises(ValueError):
             kn_witness(-1)
 
@@ -374,24 +370,24 @@ class TestFamilyWitnesses:
         for n in range(1, 11):
             w = kn_witness(n)
             assert max_eig_le(seidel_of_graph(w.graph), 3)
-            assert _rank_3i_minus_s(w.graph) == n
+            assert rank(three_i_minus_s(w.graph)) == n
 
     def test_dst_graph_shape(self):
         w = dst_witness(7, 8)
         ref = Graph.complete_minus_matching(6, 1)
         assert canonical_form_bits(w.graph.adj) == canonical_form_bits(ref.adj)
-        assert w.spec.name == "D8"
+        assert classify_root_lattice(*w.lattice) == "D8"
 
     def test_dst_interior_has_eigenvalue_3(self):
         w = dst_witness(12, 9)
         assert max_eig_le(seidel_of_graph(w.graph), 3)
-        assert _rank_3i_minus_s(w.graph) == 8  # m - 1 < n: eigenvalue 3
+        assert rank(three_i_minus_s(w.graph)) == 8  # m - 1 < n: eigenvalue 3
 
     def test_dst_boundary_rank_full(self):
         # at n = m - 1 the rank equals n, so the bound is strict
         w = dst_witness(3, 4)
         assert canonical_form_bits(w.graph.adj) == canonical_form_bits(Graph.path(3).adj)
-        assert _rank_3i_minus_s(w.graph) == 3
+        assert rank(three_i_minus_s(w.graph)) == 3
 
     @pytest.mark.parametrize("n,m", [(3, 5), (7, 4), (5, 3)])
     def test_dst_infeasible(self, n, m):
@@ -399,13 +395,14 @@ class TestFamilyWitnesses:
             dst_witness(n, m)
 
     def test_dst_key_matches_complete_minus_matching(self):
-        assert construct_Dst_class(8, 6) == canonical_key(
+        assert canonical_key(dst_witness(8, 6).graph) == canonical_key(
             Graph.complete_minus_matching(4, 4)
         )
 
     def test_witnesses_run_no_key_search(self, monkeypatch):
         calls = []
         monkeypatch.setattr(enumeration, "canonical_key", calls.append)
+        e8_witness((0, 1, 2))
         kn_witness(5)
         dst_witness(8, 6)
         assert calls == []
@@ -416,8 +413,7 @@ class TestFamilyWitnesses:
             raise AssertionError("generates ran")
 
         monkeypatch.setattr(enumeration, "generates", refuse)
-        for build in (lambda: kn_witness(33), lambda: dst_witness(34, 19),
-                      lambda: construct_Kn_class(100)):
+        for build in (lambda: kn_witness(33), lambda: dst_witness(34, 19), lambda: kn_witness(100)):
             with pytest.raises(ValueError, match=r"^vertex count must be in 0\.\.32$"):
                 build()
 
@@ -504,11 +500,38 @@ class TestExports:
         ]
 
     def test_reps_rank_is_rank_of_3i_minus_s(self):
-        # reps reads the rank off the witness lattice, whose rank is one more
+        # every witness, whichever builder made it, is roots u_i with
+        # (u_i, r) = 1 and Gram matrix A + 2I, and its lattice is the span's
+        # rank and discriminant, the rank one more than rank(3I - S); reps
+        # reads its rank off that lattice
         records = [rec for n in range(29) for rec in reps_records(n)]
         assert len(records) == 931
-        for rec in records:
-            assert rec["rank"] == _rank_3i_minus_s(phi_graph(rec["subset"]))
+        witnesses = [e8_witness(rec["subset"]) for rec in records]
+        assert [rec["rank"] for rec in records] == [w.lattice[0] - 1 for w in witnesses]
+        witnesses += [kn_witness(n) for n in range(11)]
+        witnesses += [dst_witness(n, m) for m in range(4, 13) for n in range(m - 1, 2 * (m - 2) + 1)]
+        for w in witnesses:
+            n = w.graph.n
+            assert len(w.vectors) == n and inner(w.r, w.r) == 2
+            assert all(inner(u, w.r) == 1 and inner(u, u) == 2 for u in w.vectors)
+            gram = adjacency_matrix(w.graph).add(IntMatrix.identity(n).scale(2))
+            assert all(inner(u, v) == gram[i, j] for i, u in enumerate(w.vectors) for j, v in enumerate(w.vectors))
+            assert w.lattice == rank_and_discriminant([*w.vectors, w.r])
+            assert w.lattice[0] - 1 == rank(three_i_minus_s(w.graph))
+
+    def test_reps_does_one_witness_per_record(self, monkeypatch):
+        # each record costs one phi_graph, one canonical_key and one
+        # rank_and_discriminant, as before the records read their witness
+        calls = []
+        for name in ("phi_graph", "canonical_key", "rank_and_discriminant"):
+            def counted(*args, _name=name, _fn=getattr(enumeration, name)):
+                calls.append(_name)
+                return _fn(*args)
+
+            monkeypatch.setattr(enumeration, name, counted)
+        records = reps_records(7)
+        assert len(records) == 16
+        assert sorted(calls) == sorted(["phi_graph", "canonical_key", "rank_and_discriminant"] * 16)
 
     def test_reps_records_families_at_n7(self):
         families = {r["lattice_family"] for r in reps_records(7)}

@@ -6,6 +6,7 @@ import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 
+from conftest import three_i_minus_s
 from seidel_forge.exact_linalg import (
     IntMatrix,
     _pivots,
@@ -23,10 +24,6 @@ from seidel_forge.seidel_core import (
 
 def _sympy_of(M: IntMatrix) -> sympy.Matrix:
     return sympy.Matrix([[M[i, j] for j in range(M.n)] for i in range(M.n)])
-
-
-def _three_i_minus_s(G: Graph) -> IntMatrix:
-    return IntMatrix.identity(G.n).scale(3).sub(seidel_of_graph(G))
 
 
 @st.composite
@@ -136,8 +133,8 @@ class TestIntMatrix:
 class TestRank:
     def test_reference_values(self):
         # independently derived by fraction-free Gaussian elimination
-        assert rank(_three_i_minus_s(Graph.complete(6))) == 6
-        assert rank(_three_i_minus_s(Graph.complete_minus_matching(7, 5))) == 8
+        assert rank(three_i_minus_s(Graph.complete(6))) == 6
+        assert rank(three_i_minus_s(Graph.complete_minus_matching(7, 5))) == 8
         assert rank(IntMatrix.from_rows([[0] * 4] * 4)) == 0
         assert rank(IntMatrix.identity(7)) == 7
 
@@ -271,4 +268,4 @@ class TestConeEquivalence:
         bound = max_eig_le(S, 3)
         assert bound == is_psd(cone_gram)
         if bound:
-            assert rank(_three_i_minus_s(G)) + 1 == rank(cone_gram)
+            assert rank(three_i_minus_s(G)) + 1 == rank(cone_gram)

@@ -46,6 +46,14 @@ class TestLatticeSpec:
         with pytest.raises(ValueError):
             LatticeSpec("B", 2)
 
+    def test_rank_is_an_integer(self):
+        # converted as IntMatrix.from_rows converts entries: a float is
+        # refused at once, and True is the integer 1 it hashes equal to
+        with pytest.raises(TypeError):
+            LatticeSpec("A", 2.5)
+        spec = LatticeSpec("A", True)
+        assert spec.name == "A1" and type(spec.rank) is int
+
     def test_metadata(self):
         assert LatticeSpec("A", 7).ambient_dim == 8
         assert LatticeSpec("D", 5).ambient_dim == 5

@@ -112,8 +112,9 @@ class TestGraph:
         assert Graph.empty(3).edges() == []
         # D_{2,1}: triangle minus one matched pair = path via vertex 2
         assert Graph.complete_minus_matching(2, 1).edges() == [(0, 2), (1, 2)]
-        with pytest.raises(ValueError):
-            Graph.complete_minus_matching(2, 3)
+        for s, t in ((2, 3), (5, -2)):
+            with pytest.raises(ValueError, match=r"^matching size t must be in 0\.\.s$"):
+                Graph.complete_minus_matching(s, t)
 
     @pytest.mark.parametrize(
         "build,args",
