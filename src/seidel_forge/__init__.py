@@ -11,7 +11,6 @@ from .exact_linalg import IntMatrix, is_psd, max_eig_le, rank
 from .seidel_core import (
     Graph,
     SwitchingClassKey,
-    adjacency_matrix,
     canonical_key,
     cone,
     seidel_of_graph,
@@ -25,7 +24,6 @@ from .root_lattices import (
     classify_root_lattice,
     generates,
     gram_determinant,
-    gram_to_graph,
     inner,
     n_r,
     orth_complement_in_E8,
@@ -44,6 +42,7 @@ from .enumeration import (
     dst_witness,
     e8_context,
     e8_witness,
+    gram_to_graph,
     kn_witness,
     omega_table,
     phi,
@@ -62,7 +61,6 @@ __all__ = [
     "rank",
     "Graph",
     "SwitchingClassKey",
-    "adjacency_matrix",
     "canonical_key",
     "cone",
     "seidel_of_graph",

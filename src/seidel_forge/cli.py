@@ -90,7 +90,7 @@ def _render(cfg: argparse.Namespace, kind: str, payload: dict, records: list[dic
 def cmd_omega_table(cfg: argparse.Namespace) -> int:
     table = omega_table()
     if cfg.check_paper:
-        got = tuple(table.omega_at(n) for n in range(len(TABLE3_OMEGA)))
+        got = (*table.omega, 0)  # omega(29) = 0: there are 28 pair-classes
         if got != TABLE3_OMEGA:
             bad = [n for n, (a, b) in enumerate(zip(got, TABLE3_OMEGA)) if a != b]
             print(f"omega mismatch against the reference table at n = {bad}", file=sys.stderr)

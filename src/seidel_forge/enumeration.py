@@ -1,11 +1,12 @@
 """Enumeration pipelines for switching classes with largest Seidel eigenvalue 3.
 
-Ties everything together: the orderly ladder of orbit representatives of
-subsets of the 28 pair-classes of E_8, the map phi from those subsets to
-switching classes on n vertices (it restricts the graph of the 28 classes to
-the subset), one witness record for an E_8 subset and for each one-class A-
-or D-family, the omega / s / s_e count tables, the two-element fiber at
-n = 6, and independent brute-force and random-graph cross-checks.
+Ties everything together: the graph of roots whose Gram matrix is A + 2I,
+the orderly ladder of orbit representatives of subsets of the 28
+pair-classes of E_8, the map phi from those subsets to switching classes on
+n vertices (it restricts the graph of the 28 classes to the subset), one
+witness record for an E_8 subset and for each one-class A- or D-family, the
+omega / s / s_e count tables, the two-element fiber at n = 6, and
+independent brute-force and random-graph cross-checks.
 """
 from __future__ import annotations
 
@@ -14,14 +15,14 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .canon import _switch_rows
-from .exact_linalg import IntMatrix, _pivots
+from .exact_linalg import _pivots
 from .root_lattices import (
+    GramError,
     LatticeSpec,
     PairClass,
     RootVector,
     classify_root_lattice,
     generates,
-    gram_to_graph,
     inner,
     orth_complement_in_E8,
     pair_classes,
@@ -36,7 +37,6 @@ from .seidel_core import (
     SwitchingClassKey,
     _check_vertex_count,
     _relabel_rows,
-    adjacency_matrix,
     canonical_key,
     cone,
     switching_class_representatives,
@@ -45,6 +45,7 @@ from .weyl_orbits import PermGroup, burnside_subset_counts
 
 __all__ = [
     "SCHEMA_VERSION",
+    "gram_to_graph",
     "E8Context",
     "e8_context",
     "class_transversal",
@@ -65,6 +66,23 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
+
+
+def gram_to_graph(vectors) -> Graph:
+    """Graph with i ~ j iff inner(v_i, v_j) = 1; Gram must be A(G) + 2I."""
+    vecs = list(vectors)
+    n = len(vecs)
+    edges = []
+    for i in range(n):
+        if inner(vecs[i], vecs[i]) != 2:
+            raise GramError(i, i, inner(vecs[i], vecs[i]))
+        for j in range(i + 1, n):
+            g = inner(vecs[i], vecs[j])
+            if g == 1:
+                edges.append((i, j))
+            elif g != 0:
+                raise GramError(i, j, g)
+    return Graph.from_edges(n, edges)
 
 
 class E8Context(NamedTuple):
@@ -216,12 +234,6 @@ class OmegaTable(NamedTuple):
 
     omega: tuple[int, ...]
     raw_orbit_counts: tuple[int, ...]
-
-    def omega_at(self, n: int) -> int:
-        """omega(n), with 0 beyond the 28-point range."""
-        if n < 0:
-            raise ValueError("n must be nonnegative")
-        return self.omega[n] if n < len(self.omega) else 0
 
 
 @lru_cache(maxsize=1)
@@ -440,10 +452,11 @@ def verify_cao(samples: int = 500, seed: int = 0) -> dict:
     for _ in range(samples):
         n = rng.randint(0, 8)
         G = Graph.from_triangle_bits(n, rng.getrandbits(n * (n - 1) // 2))
-        cone_gram = adjacency_matrix(cone(G)).add(IntMatrix.identity(G.n + 1).scale(2))
-        # one elimination per matrix gives both its PSD verdict and its rank
+        # one elimination per matrix gives both its PSD verdict and its rank:
+        # A(cone(G)) + 2I has 2 on the diagonal and the adjacency bit elsewhere
         rk, eig_ok = _rank_and_bound(G)
-        cone_pivots, cone_ok = _pivots(cone_gram.rows)
+        C = cone(G)
+        cone_pivots, cone_ok = _pivots([2 if i == j else a >> j & 1 for j in range(C.n)] for i, a in enumerate(C.adj))
         detail = None
         if eig_ok != cone_ok:
             detail = f"bound {eig_ok} vs cone {cone_ok}"

@@ -1,9 +1,11 @@
 """Exact integer linear algebra.
 
-One kernel, `_pivots`, serves `rank`, `is_psd`, `max_eig_le` and the Gram
-determinants of `root_lattices`: fraction-free (Bareiss) elimination with
-complete pivoting.  Step k pivots on d and updates the trailing block as
+One kernel, `_pivots`, serves every elimination in the package:
+fraction-free (Bareiss) elimination with complete pivoting.  Step k pivots
+on d and updates the trailing block as
 A[i][j] = (d A[i][j] - A[i][k] A[k][j]) // prev, prev the previous pivot.
+The pipeline hands it plain rows; `IntMatrix` is the type of the public
+wrappers `rank`, `is_psd` and `max_eig_le`.
 
 - Exactness.  A swap at step k only reorders rows and columns not yet
   eliminated, so the run is Bareiss elimination of one fixed permutation
@@ -44,14 +46,6 @@ class IntMatrix(NamedTuple("IntMatrix", [("rows", tuple[tuple[int, ...], ...])])
             raise ValueError("matrix must be square")
         return super().__new__(cls, rows)
 
-    @property
-    def n(self) -> int:
-        return len(self.rows)
-
-    def __getitem__(self, ij: tuple[int, int]) -> int:
-        i, j = ij
-        return self.rows[i][j]
-
     @staticmethod
     def from_rows(rows) -> "IntMatrix":
         """Rows of integers; a Fraction or float entry raises TypeError."""
@@ -60,11 +54,6 @@ class IntMatrix(NamedTuple("IntMatrix", [("rows", tuple[tuple[int, ...], ...])])
     @staticmethod
     def identity(n: int) -> "IntMatrix":
         return IntMatrix(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
-
-    def add(self, other: "IntMatrix") -> "IntMatrix":
-        return IntMatrix.from_rows(
-            [a + b for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)
-        )
 
     def sub(self, other: "IntMatrix") -> "IntMatrix":
         return IntMatrix.from_rows(

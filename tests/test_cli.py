@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from seidel_forge import cli, enumeration, ledger, root_lattices, weyl_orbits
+from seidel_forge import cli, enumeration, ledger, root_lattices, seidel_core, weyl_orbits
 from seidel_forge.cli import TABLE2_S, TABLE2_SE, TABLE3_OMEGA, main
 from seidel_forge.enumeration import e8_context
 from seidel_forge.weyl_orbits import PermGroup
@@ -269,6 +269,22 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--only", name)
         assert code == 1
         assert out == f"[FAIL] {name}  {detail}\n"
+
+    def test_thm_cao_fails_on_a_faulty_cone(self, capsys, monkeypatch):
+        # a cone whose apex misses vertex 0 breaks the cone criterion itself
+        def faulty_cone(G):
+            C = seidel_core.cone(G)
+            if not G.n:
+                return C
+            adj = list(C.adj)
+            adj[0] ^= 1 << G.n
+            adj[G.n] ^= 1
+            return seidel_core.Graph(C.n, tuple(adj))
+
+        monkeypatch.setattr(enumeration, "cone", faulty_cone)
+        code, out, _ = run(capsys, "verify", "--only", "thm:Cao")
+        assert code == 1
+        assert out == "[FAIL] thm:Cao  91 failures\n"
 
     def test_lem_sa_checks_the_witness_rank(self, capsys, monkeypatch):
         # a K_5 witness whose lattice claims one rank too many: rank(3I - S)

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import three_i_minus_s
+from conftest import a_plus_2i, three_i_minus_s
 from seidel_forge import enumeration
 from seidel_forge.canon import canonical_form_bits
 from seidel_forge.enumeration import (
@@ -16,6 +16,7 @@ from seidel_forge.enumeration import (
     dst_witness,
     e8_context,
     e8_witness,
+    gram_to_graph,
     kn_witness,
     omega_table,
     phi,
@@ -25,18 +26,17 @@ from seidel_forge.enumeration import (
     verify_cao,
     verify_fiber_n6,
 )
-from seidel_forge.exact_linalg import IntMatrix, is_psd, max_eig_le, rank
+from seidel_forge.exact_linalg import is_psd, max_eig_le, rank
 from seidel_forge.root_lattices import (
     RootVector,
     classify_root_lattice,
     gram_determinant,
-    gram_to_graph,
     inner,
     rank_and_discriminant,
     reflect,
     roots,
 )
-from seidel_forge.seidel_core import Graph, adjacency_matrix, canonical_key, seidel_of_graph, switch
+from seidel_forge.seidel_core import Graph, canonical_key, seidel_of_graph, switch
 from seidel_forge.weyl_orbits import _compose
 
 
@@ -326,14 +326,6 @@ class TestOmegaTable:
             if n != 6:
                 assert table.raw_orbit_counts[n] == table.omega[n]
 
-    def test_omega_at_bounds(self):
-        table = omega_table()
-        assert table.omega_at(29) == 0
-        assert table.omega_at(100) == 0
-        assert table.omega_at(0) == 1
-        with pytest.raises(ValueError):
-            table.omega_at(-1)
-
     def test_symmetry(self):
         # subset orbits are complement-symmetric; omega inherits this except
         # where the n = 6 fiber collision breaks it against n = 22
@@ -511,11 +503,9 @@ class TestExports:
         witnesses += [kn_witness(n) for n in range(11)]
         witnesses += [dst_witness(n, m) for m in range(4, 13) for n in range(m - 1, 2 * (m - 2) + 1)]
         for w in witnesses:
-            n = w.graph.n
-            assert len(w.vectors) == n and inner(w.r, w.r) == 2
+            assert len(w.vectors) == w.graph.n and inner(w.r, w.r) == 2
             assert all(inner(u, w.r) == 1 and inner(u, u) == 2 for u in w.vectors)
-            gram = adjacency_matrix(w.graph).add(IntMatrix.identity(n).scale(2))
-            assert all(inner(u, v) == gram[i, j] for i, u in enumerate(w.vectors) for j, v in enumerate(w.vectors))
+            assert tuple(tuple(inner(u, v) for v in w.vectors) for u in w.vectors) == a_plus_2i(w.graph).rows
             assert w.lattice == rank_and_discriminant([*w.vectors, w.r])
             assert w.lattice[0] - 1 == rank(three_i_minus_s(w.graph))
 

@@ -6,7 +6,7 @@ import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import three_i_minus_s
+from conftest import a_plus_2i, three_i_minus_s
 from seidel_forge.exact_linalg import (
     IntMatrix,
     _pivots,
@@ -14,16 +14,11 @@ from seidel_forge.exact_linalg import (
     max_eig_le,
     rank,
 )
-from seidel_forge.seidel_core import (
-    Graph,
-    adjacency_matrix,
-    cone,
-    seidel_of_graph,
-)
+from seidel_forge.seidel_core import Graph, cone, seidel_of_graph
 
 
 def _sympy_of(M: IntMatrix) -> sympy.Matrix:
-    return sympy.Matrix([[M[i, j] for j in range(M.n)] for i in range(M.n)])
+    return sympy.Matrix(M.rows)
 
 
 @st.composite
@@ -73,7 +68,7 @@ def gram_matrices(draw, max_n=6, perturb=False):
 
 def fraction_ldl_is_psd(M: IntMatrix) -> bool:
     """Oracle: the same symmetric-pivoting LDL^T over Fractions."""
-    n = M.n
+    n = len(M.rows)
     A = [[Fraction(x) for x in row] for row in M.rows]
     for k in range(n):
         p = max(range(k, n), key=lambda i: A[i][i])
@@ -103,8 +98,8 @@ def graphs(draw, max_n=8):
 class TestIntMatrix:
     def test_constructors_and_arithmetic(self):
         M = IntMatrix.from_rows([[1, 2], [3, 4]])
-        assert M.n == 2 and M[0, 1] == 2
-        assert M.add(IntMatrix.identity(2)).rows == ((2, 2), (3, 5))
+        assert M.rows == ((1, 2), (3, 4))
+        assert IntMatrix.identity(2).rows == ((1, 0), (0, 1))
         assert M.sub(M).rows == ((0, 0), (0, 0))
         assert M.scale(3).rows == ((3, 6), (9, 12))
 
@@ -125,7 +120,7 @@ class TestIntMatrix:
 
     def test_empty_matrix(self):
         M = IntMatrix.from_rows([])
-        assert M.n == 0
+        assert M.rows == ()
         assert rank(M) == 0
         assert is_psd(M)
 
@@ -168,7 +163,7 @@ class TestPivots:
         det = _sympy_of(M).det()
         assume(det != 0)
         pivots, _ = _pivots(M.rows)
-        assert len(pivots) == M.n
+        assert len(pivots) == len(M.rows)
         assert abs(pivots[-1]) == abs(det)
 
 
@@ -184,18 +179,15 @@ class TestIntPolynomial:
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
             zero_multiplicity += 1
-        assert rank(M) + zero_multiplicity == M.n
+        assert rank(M) + zero_multiplicity == len(M.rows)
 
 
 class TestPsd:
     def test_reference_values(self):
-        cone_gram = adjacency_matrix(cone(Graph.cycle(5))).add(
-            IntMatrix.identity(6).scale(2)
-        )
-        assert is_psd(cone_gram)  # independently derived (principal minors)
+        assert is_psd(a_plus_2i(cone(Graph.cycle(5))))  # independently derived (principal minors)
         J_minus_I = seidel_of_graph(Graph.empty(5))
         assert not is_psd(J_minus_I)
-        assert is_psd(J_minus_I.add(IntMatrix.identity(5)))
+        assert is_psd(IntMatrix.from_rows([[1] * 5] * 5))
 
     def test_zero_pivot_handling(self):
         # PSD with a zero diagonal entry forces the whole row to vanish
@@ -209,8 +201,8 @@ class TestPsd:
         S = _sympy_of(M)
         expect = all(
             S[list(idx), list(idx)].det() >= 0
-            for k in range(1, M.n + 1)
-            for idx in itertools.combinations(range(M.n), k)
+            for k in range(1, len(M.rows) + 1)
+            for idx in itertools.combinations(range(len(M.rows)), k)
         )
         assert is_psd(M) == expect
 
@@ -237,7 +229,7 @@ class TestMaxEigLe:
     @settings(max_examples=60, deadline=None)
     @given(symmetric_matrices(max_n=4), st.integers(-6, 6))
     def test_is_psd_bridge(self, M, b):
-        shifted = IntMatrix.identity(M.n).scale(b).sub(M)
+        shifted = IntMatrix.identity(len(M.rows)).scale(b).sub(M)
         assert max_eig_le(M, b) == is_psd(shifted)
 
     @settings(max_examples=50, deadline=None)
@@ -255,7 +247,7 @@ class TestMaxEigLe:
     @settings(max_examples=25, deadline=None)
     @given(symmetric_matrices(max_n=5))
     def test_gershgorin_bound_holds(self, M):
-        b = max(sum(abs(M[i, j]) for j in range(M.n)) for i in range(M.n))
+        b = max(sum(map(abs, row)) for row in M.rows)
         assert max_eig_le(M, b)
 
 
@@ -264,7 +256,7 @@ class TestConeEquivalence:
     @given(graphs(max_n=8))
     def test_bound_iff_cone_psd_with_rank_identity(self, G):
         S = seidel_of_graph(G)
-        cone_gram = adjacency_matrix(cone(G)).add(IntMatrix.identity(G.n + 1).scale(2))
+        cone_gram = a_plus_2i(cone(G))
         bound = max_eig_le(S, 3)
         assert bound == is_psd(cone_gram)
         if bound:

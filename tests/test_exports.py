@@ -1,5 +1,7 @@
 """Every exported name resolves: the package's and each module's __all__,
-and every name the benchmark's span tracer wraps."""
+and every name the benchmark's span tracer wraps; no module imports a
+package module inside a function."""
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -21,6 +23,22 @@ def test_all_names_resolve():
     ]
     assert len(modules) > 1
     assert missing == []
+
+
+def test_no_function_level_package_import():
+    # a relative import inside a function hides a dependency, and with it an
+    # import cycle, from the module's header
+    paths = sorted(Path(seidel_forge.__file__).parent.glob("*.py"))
+    found = [
+        f"{path.name}:{fn.name}:{node.lineno}"
+        for path in paths
+        for fn in ast.walk(ast.parse(path.read_text()))
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, ast.ImportFrom) and node.level
+    ]
+    assert len(paths) > 1
+    assert found == []
 
 
 def test_bench_span_targets_resolve():

@@ -1,10 +1,12 @@
 """Root systems, lattice membership, Gram graphs, and orthogonal complements."""
 import operator
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from seidel_forge.enumeration import gram_to_graph
 from seidel_forge.root_lattices import (
     GramError,
     LatticeSpec,
@@ -13,7 +15,6 @@ from seidel_forge.root_lattices import (
     classify_root_lattice,
     generates,
     gram_determinant,
-    gram_to_graph,
     hnf,
     in_lattice,
     inner,
@@ -259,6 +260,14 @@ class TestHnf:
     def test_zero_input(self):
         assert hnf([]) == ()
         assert hnf([[0, 0], [0, 0]]) == ()
+
+    def test_refuses_non_integer_entries(self):
+        # converted as IntMatrix.from_rows converts entries: non-integers are
+        # refused, not truncated
+        for rows in ([[1.5, 2], [0, 3]], [[Fraction(3, 2), 0]], [[2.0, 0]], [[0.0, 0]]):
+            with pytest.raises(TypeError):
+                hnf(rows)
+        assert hnf([[True, False], [0, 3]]) == ((1, 0), (0, 3))
 
     @settings(max_examples=100, deadline=None)
     @given(int_matrices(), st.randoms(use_true_random=False))
