@@ -384,70 +384,45 @@ def brute_force_counts(n: int) -> tuple[int, int, int]:
     return s, s_e, omega
 
 
-def verify_fiber_n6() -> dict:
-    """Check the one collision of phi at n = 6 and its two A_7 witnesses.
+def verify_fiber_n6() -> list[str]:
+    """Problems with the one collision of phi at n = 6 and its A_7 witnesses.
 
-    The 10 orbit representatives must map to 9 distinct classes; the doubled
-    class is [S(K_6)], its two witness lattices <u_1..u_6, r> are both rank-7
-    discriminant-8 (hence A_7-isometric), and their orthogonal complements in
-    E_8 have rank 1, so each one's minimal norm is the norm of its single
-    basis vector: 2 and 8 in some order.  A complement of any other rank is
-    a failure.
+    Exactly two orbit representatives map to [S(K_6)].  Each one's witness
+    lattice <u_1..u_6, r> is rank 7, discriminant 8 (hence A_7-isometric),
+    and its orthogonal complement in E_8 has rank 1, so its minimal norm is
+    the norm of its single basis vector: 2 and 8 in some order.
     """
-    failures: list[str] = []
-    reps = class_transversal(6)
-    if len(reps) != 10:
-        failures.append(f"expected 10 orbit representatives at n = 6, got {len(reps)}")
-    by_key: dict[SwitchingClassKey, list[tuple[int, ...]]] = {}
-    for subset in reps:
-        by_key.setdefault(phi(subset), []).append(subset)
-    if len(by_key) != 9:
-        failures.append(f"expected 9 distinct keys, got {len(by_key)}")
-    doubled = {k: v for k, v in by_key.items() if len(v) > 1}
     k6_key = canonical_key(Graph.complete(6))
-    if list(doubled) != [k6_key]:
-        failures.append(
-            f"doubled keys {[k.hex for k in doubled]} != [key(K_6)] {k6_key.hex}"
-        )
-    fiber = doubled.get(k6_key, [])
-    ranks, discs, min_norms = [], [], []
+    fiber = [subset for subset in class_transversal(6) if phi(subset) == k6_key]
+    problems = []
+    if len(fiber) != 2:
+        problems.append(f"{len(fiber)} representatives map to [S(K_6)], not 2")
+    min_norms = []
     for subset in fiber:
         w = e8_witness(subset)
-        ranks.append(w.lattice[0])
-        discs.append(w.lattice[1])
+        if w.lattice != (7, 8):
+            problems.append(f"lattice of {list(subset)} is {w.lattice} != (7, 8)")
         complement = orth_complement_in_E8([*w.vectors, w.r])
         if len(complement) == 1:
             min_norms.append(inner(complement[0], complement[0]))
         else:
-            failures.append(f"complement of {list(subset)} has rank {len(complement)} != 1")
-    if ranks != [7, 7]:
-        failures.append(f"fiber lattice ranks {ranks} != [7, 7]")
-    if discs != [8, 8]:
-        failures.append(f"fiber lattice discriminants {discs} != [8, 8]")
+            problems.append(f"complement of {list(subset)} has rank {len(complement)} != 1")
     if sorted(min_norms) != [2, 8]:
-        failures.append(f"complement min norms {min_norms} != [2, 8]")
-    return {
-        "ok": not failures,
-        "rep_count": len(reps),
-        "distinct_keys": len(by_key),
-        "duplicated_key": k6_key.hex if fiber else None,
-        "fiber_subsets": [list(sub) for sub in fiber],
-        "lattice_ranks": ranks,
-        "lattice_discriminants": discs,
-        "complement_min_norms": sorted(min_norms),
-        "failures": failures,
-    }
+        problems.append(f"complement min norms {sorted(min_norms)} != [2, 8]")
+    return problems
 
 
-def verify_cao(samples: int = 500, seed: int = 0) -> dict:
+def verify_cao(samples: int = 500, seed: int = 0) -> tuple[list[str], int]:
     """Random-graph check of the eigenvalue bound against the cone criterion.
 
     For each sample, a graph G on at most 8 vertices: lambda_max(S(G)) <= 3
     must hold exactly when A(cone(G)) + 2I is positive semidefinite, and in
-    that case rank(3I - S(G)) + 1 = rank(A(cone(G)) + 2I).
+    that case rank(3I - S(G)) + 1 = rank(A(cone(G)) + 2I).  Returns one
+    failure line per mismatch and the number of samples with
+    lambda_max <= 3.
     """
     rng = random.Random(seed)
-    failures: list[dict] = []
+    failures: list[str] = []
     bounded = 0
     for _ in range(samples):
         n = rng.randint(0, 8)
@@ -465,14 +440,8 @@ def verify_cao(samples: int = 500, seed: int = 0) -> dict:
             if rk + 1 != len(cone_pivots):
                 detail = f"ranks {rk + 1} != {len(cone_pivots)}"
         if detail:
-            failures.append({"n": n, "triangle_bits": G.triangle_bits(), "detail": detail})
-    return {
-        "ok": not failures,
-        "samples": samples,
-        "seed": seed,
-        "bounded_cases": bounded,
-        "failures": failures,
-    }
+            failures.append(f"n = {n}, triangle bits {G.triangle_bits()}: {detail}")
+    return failures, bounded
 
 
 # -- export builders ------------------------------------------------------

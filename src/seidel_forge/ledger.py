@@ -14,20 +14,12 @@ from .enumeration import (
     kn_witness, omega_table, phi, s_table, verify_cao, verify_fiber_n6,
 )
 from .root_lattices import n_r, roots
-from .seidel_core import Graph
+from .seidel_core import Graph, canonical_key
 from .weyl_orbits import (
     PermGroup, induced_action_on_classes, stabilizer_of_root, weyl_group_on_roots,
 )
 
 __all__ = ["CHECKS", "CHECK_NAMES"]
-
-
-def _fiber_n6(cfg: Namespace) -> dict:
-    """The n = 6 fiber report, computed once per verify run: lem:A reads its
-    min norms and thm:sym its failures."""
-    if "fiber_n6" not in cfg:
-        cfg.fiber_n6 = verify_fiber_n6()
-    return cfg.fiber_n6
 
 
 def _cor_sn_residual_errors(table) -> list[str]:
@@ -45,11 +37,11 @@ def _cor_sn_residual_errors(table) -> list[str]:
 
 
 def _check_thm_cao(cfg: Namespace) -> tuple[list[str], str]:
-    report = verify_cao(cfg.samples, cfg.seed)
-    problems = [f"{len(report['failures'])} failures"] if report["failures"] else []
+    failures, bounded = verify_cao(cfg.samples, cfg.seed)
+    problems = [f"{len(failures)} failures"] if failures else []
     return problems, (
-        f"{report['samples']} random graphs on <= 8 vertices, "
-        f"{report['bounded_cases']} with lambda_max <= 3; 0 failures"
+        f"{cfg.samples} random graphs on <= 8 vertices, "
+        f"{bounded} with lambda_max <= 3; 0 failures"
     )
 
 
@@ -62,20 +54,19 @@ def _check_lem_a(cfg: Namespace) -> tuple[list[str], str]:
         problems.append(f"{len(ctx.classes)} pair-classes != 28")
     if n_r_count != 56:
         problems.append(f"{n_r_count} roots with (u, r) = 1 != 56")
-    min_norms = _fiber_n6(cfg)["complement_min_norms"]
-    if min_norms != [2, 8]:
-        problems.append(f"complement min norms {min_norms}")
+    problems.extend(verify_fiber_n6())
     # Second method for the image group: project the stabilizer of r in the
     # W(E_8) chain on 240 roots.  Equal orders of ctx.image, the projection
     # and their join mean that the two groups are equal.
-    r_index = roots(ctx.spec).index(ctx.r)
+    rts = roots(ctx.spec)
+    r_index = rts.index(ctx.r)
     weyl = weyl_group_on_roots(ctx.spec, (r_index,))
     if weyl.order() != 696_729_600:
         problems.append(f"|W(E_8)| = {weyl.order()} != 696729600")
     stab = stabilizer_of_root(weyl, r_index)
     if stab.order() != 2_903_040:
         problems.append(f"|W(E_8)_r| = {stab.order()} != 2903040")
-    projected = induced_action_on_classes(stab, ctx.classes)
+    projected = induced_action_on_classes(stab, rts, ctx.classes)
     order = ctx.image.order()
     if projected.order() != order:
         problems.append(f"projected stabilizer order {projected.order()} != image order {order}")
@@ -126,11 +117,16 @@ def _check_lem_sd(cfg: Namespace) -> tuple[list[str], str]:
 def _check_thm_sym(cfg: Namespace) -> tuple[list[str], str]:
     problems = []
     omega = omega_table().omega
+    k6_key = canonical_key(Graph.complete(6))
     for n in range(29):
-        distinct = len({phi(subset) for subset in class_transversal(n)})
+        keys = [phi(subset) for subset in class_transversal(n)]
+        distinct = len(set(keys))
         if distinct != omega[n]:
             problems.append(f"n = {n}: {distinct} distinct keys != omega = {omega[n]}")
-    problems.extend(_fiber_n6(cfg)["failures"])
+        if n == 6:
+            doubled = sorted({k.hex for k in keys if keys.count(k) > 1})
+            if doubled != [k6_key.hex]:
+                problems.append(f"n = 6: doubled keys {doubled} != [key(K_6)] {k6_key.hex}")
     return problems, (
         "phi keys on the orbit transversal number omega(n) for n = 0..28; "
         "the n = 6 fiber is exactly {two orbits} over [S(K_6)]"

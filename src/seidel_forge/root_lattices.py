@@ -251,9 +251,12 @@ def hnf(rows: list[list[int]]) -> tuple[tuple[int, ...], ...]:
     Returns the canonical echelon basis (nonzero rows only): positive pivots,
     entries above each pivot reduced to 0 <= x < pivot.  Two generating sets
     span the same lattice iff their HNFs are equal.  A Fraction or float
-    entry raises TypeError.
+    entry raises TypeError, rows of unequal length ValueError.
     """
-    A = [row for row in (list(map(index, r)) for r in rows) if any(row)]
+    A = [list(map(index, r)) for r in rows]
+    if len({len(row) for row in A}) > 1:
+        raise ValueError("rows of unequal length")
+    A = [row for row in A if any(row)]
     if not A:
         return ()
     cols = len(A[0])

@@ -88,14 +88,11 @@ class _Level:
 class PermGroup:
     """Permutation group with a deterministic Schreier-Sims chain.
 
-    base_prefix, distinct points in 0..degree-1, leads the base.  labels,
-    when present, name the points (e.g. the root vectors a Weyl group
-    permutes).
+    base_prefix, distinct points in 0..degree-1, leads the base.
     """
 
-    def __init__(self, degree: int, generators, base_prefix=(), labels=None):
+    def __init__(self, degree: int, generators, base_prefix=()):
         self.degree = degree
-        self.labels = tuple(labels) if labels is not None else None
         gens = []
         seen = set()
         identity = tuple(range(degree))
@@ -279,10 +276,9 @@ class PermGroup:
         return counts
 
     @classmethod
-    def _from_chain(cls, degree, levels, labels) -> "PermGroup":
+    def _from_chain(cls, degree, levels) -> "PermGroup":
         g = cls.__new__(cls)
         g.degree = degree
-        g.labels = labels
         g._levels = levels
         g._raw_gens = [gen for lvl in levels for gen in lvl.gens]
         return g
@@ -295,7 +291,7 @@ def weyl_group_on_roots(spec: LatticeSpec, base_prefix: tuple[int, ...] = ()) ->
     rts = roots(spec)
     index = {v.coords2: i for i, v in enumerate(rts)}
     gens = [tuple(index[reflect(v, x).coords2] for x in rts) for v in simple_roots(rts)]
-    return PermGroup(len(rts), gens, base_prefix=base_prefix, labels=rts)
+    return PermGroup(len(rts), gens, base_prefix=base_prefix)
 
 
 def stabilizer_of_root(W: PermGroup, r_index: int) -> PermGroup:
@@ -303,18 +299,17 @@ def stabilizer_of_root(W: PermGroup, r_index: int) -> PermGroup:
     be r (build W with base_prefix=(r_index,))."""
     if W.base[:1] != (r_index,):
         raise ValueError("the base of W must start at r_index")
-    return PermGroup._from_chain(W.degree, W._levels[1:], W.labels)
+    return PermGroup._from_chain(W.degree, W._levels[1:])
 
 
-def induced_action_on_classes(Wr: PermGroup, classes) -> PermGroup:
+def induced_action_on_classes(Wr: PermGroup, rts, classes) -> PermGroup:
     """The degree-|classes| action of the stabilizer on the pair-classes.
 
-    A generator g sends class index i (with member u) to the index of the
-    class containing g(u); the stabilizer preserves N_r so this is total.
+    Wr permutes the root list rts.  A generator g sends class index i (with
+    member u) to the index of the class containing g(u); the stabilizer
+    preserves N_r so this is total.
     """
-    if Wr.labels is None:
-        raise ValueError("stabilizer must carry root labels")
-    point_of = {v.coords2: i for i, v in enumerate(Wr.labels)}
+    point_of = {v.coords2: i for i, v in enumerate(rts)}
     class_of_point: dict[int, int] = {}
     for ci, cl in enumerate(classes):
         for member in cl.members():

@@ -9,16 +9,21 @@ from conftest import three_i_minus_s
 from seidel_forge.canon import canonical_form_bits
 from seidel_forge.enumeration import (
     brute_force_counts,
+    class_transversal,
     dst_witness,
     e8_context,
+    e8_witness,
     kn_witness,
     omega_table,
+    phi,
     s_table,
     verify_cao,
     verify_fiber_n6,
 )
 from seidel_forge.exact_linalg import max_eig_le, rank
-from seidel_forge.root_lattices import LatticeSpec, classify_root_lattice, n_r, roots
+from seidel_forge.root_lattices import (
+    LatticeSpec, classify_root_lattice, inner, n_r, orth_complement_in_E8, roots,
+)
 from seidel_forge.seidel_core import Graph, canonical_key, seidel_of_graph
 from seidel_forge.weyl_orbits import stabilizer_of_root, weyl_group_on_roots
 
@@ -79,15 +84,20 @@ def test_criterion_5_sn_identities():
 
 def test_criterion_6_n6_fiber():
     """criterion 6: the 10 orbit reps at n = 6 give 9 keys; the doubled class is [S(K_6)] with A_7 witnesses of complement min norms {2, 8}."""
-    report = verify_fiber_n6()
-    assert report["ok"], report["failures"]
-    assert report["rep_count"] == 10
-    assert report["distinct_keys"] == 9
-    assert report["duplicated_key"] == canonical_key(Graph.complete(6)).hex
-    assert report["lattice_ranks"] == [7, 7]
-    assert report["lattice_discriminants"] == [8, 8]
+    assert verify_fiber_n6() == []
+    reps = class_transversal(6)
+    keys = [phi(subset) for subset in reps]
+    k6_key = canonical_key(Graph.complete(6))
+    assert len(reps) == 10
+    assert len(set(keys)) == 9
+    assert [k for k in set(keys) if keys.count(k) > 1] == [k6_key]
+    witnesses = [e8_witness(subset) for subset, k in zip(reps, keys) if k == k6_key]
+    assert [w.lattice[0] for w in witnesses] == [7, 7]
+    assert [w.lattice[1] for w in witnesses] == [8, 8]
     assert classify_root_lattice(7, 8) == "A7"
-    assert report["complement_min_norms"] == [2, 8]
+    complements = [orth_complement_in_E8([*w.vectors, w.r]) for w in witnesses]
+    assert [len(c) for c in complements] == [1, 1]
+    assert sorted(inner(c[0], c[0]) for c in complements) == [2, 8]
 
 
 def test_criterion_7_structural_constants():
@@ -111,10 +121,9 @@ def test_criterion_7_structural_constants():
 
 def test_criterion_8_cone_equivalence_suite():
     """criterion 8: 500 random graphs on <= 8 vertices pass the eigenvalue-bound / cone-PSD equivalence and rank identity with zero failures."""
-    report = verify_cao(samples=500, seed=0)
-    assert report["samples"] == 500
-    assert report["failures"] == []
-    assert report["ok"]
+    failures, bounded = verify_cao(samples=500, seed=0)
+    assert failures == []
+    assert 0 < bounded < 500
 
 
 def test_criterion_9_family_constructions():

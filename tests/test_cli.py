@@ -1,4 +1,5 @@
 """Command-line interface: exit codes, formats, determinism, ledger output."""
+import argparse
 import hashlib
 import json
 import os
@@ -241,17 +242,17 @@ class TestVerify:
 
     # one planted fault per check: (check, ledger name, fake, FAIL detail)
     PLANTED = [
-        ("thm:Cao", "verify_cao", lambda samples, seed: {
-            **enumeration.verify_cao(samples, seed), "failures": [{"detail": "planted"}]},
+        ("thm:Cao", "verify_cao",
+         lambda samples, seed: (["planted"], enumeration.verify_cao(samples, seed)[1]),
          "1 failures"),
         ("lem:S(A)", "kn_witness",
          lambda n: enumeration.kn_witness(4 if n == 5 else n), "K_n mismatch at n = 5"),
         ("lem:S(D)", "dst_witness",
          lambda n, m: enumeration.dst_witness(7 if (n, m) == (8, 6) else n, m),
          "(8, 6): graph is not D_4,4"),
-        ("thm:sym", "verify_fiber_n6",
-         lambda: {**enumeration.verify_fiber_n6(), "failures": ["planted fiber failure"]},
-         "planted fiber failure"),
+        ("thm:sym", "class_transversal",
+         lambda n: enumeration.class_transversal(n)[n == 5:],
+         "n = 5: 4 distinct keys != omega = 5"),
         ("cor:sym", "omega_table", lambda: enumeration.omega_table()._replace(
             omega=tuple(9 if n == 22 else w for n, w in enumerate(enumeration.omega_table().omega))),
          "omega(6) + 1 = 10 != omega(22) = 9"),
@@ -298,19 +299,41 @@ class TestVerify:
         assert code == 1
         assert out == "[FAIL] lem:S(A)  n = 5: rank 5 != 6\n"
 
-    def test_one_run_computes_the_n6_fiber_once(self, capsys, monkeypatch):
-        # lem:A reads its min norms and thm:sym its failures from one report
-        calls = []
+    def test_checks_keep_no_state_on_the_options(self):
+        cfg = argparse.Namespace(samples=20, seed=0, n_max=2)
+        for name, check in ledger.CHECKS:
+            assert check(cfg)[0] == [], name
+        assert vars(cfg) == {"samples": 20, "seed": 0, "n_max": 2}
 
-        def counted():
-            calls.append(None)
-            return enumeration.verify_fiber_n6()
-
-        monkeypatch.setattr(ledger, "verify_fiber_n6", counted)
-        code, out, _ = run(capsys, "verify", "--samples", "20", "--n-max", "2")
+    def test_complement_fault_fails_only_lem_a(self, capsys, monkeypatch):
+        # the min norm is read off a single generator; rank 2 must fail cleanly
+        plane = [root_lattices.RootVector((2, 2) + (0,) * 6), root_lattices.RootVector((2, -2) + (0,) * 6)]
+        monkeypatch.setattr(enumeration, "orth_complement_in_E8", lambda generators: plane)
+        code, out, _ = run(capsys, "verify", "--only", "lem:A")
+        assert code == 1
+        assert out.startswith("[FAIL] lem:A  complement of [")
+        assert out.count("has rank 2 != 1") == 2
+        assert out.endswith("; complement min norms [] != [2, 8]\n")
+        code, out, _ = run(capsys, "verify", "--only", "thm:sym")
         assert code == 0
-        assert [line.split()[1] for line in out.splitlines()] == list(ledger.CHECK_NAMES)
-        assert len(calls) == 1
+        assert out.startswith("[PASS] thm:sym")
+
+    def test_thm_sym_names_a_wrong_doubled_key(self, capsys, monkeypatch):
+        # send one of the two K_6 representatives to another class: still 9
+        # keys at n = 6, but the doubled one is no longer [S(K_6)]
+        reps = enumeration.class_transversal(6)
+        k6_key = seidel_core.canonical_key(seidel_core.Graph.complete(6))
+        fiber = [s for s in reps if enumeration.phi(s) == k6_key]
+        other = next(s for s in reps if s not in fiber)
+        monkeypatch.setattr(
+            ledger, "phi", lambda subset: enumeration.phi(other if subset == fiber[1] else subset)
+        )
+        code, out, _ = run(capsys, "verify", "--only", "thm:sym")
+        assert code == 1
+        assert out == (
+            f"[FAIL] thm:sym  n = 6: doubled keys ['{enumeration.phi(other).hex}'] "
+            f"!= [key(K_6)] {k6_key.hex}\n"
+        )
 
 
 class TestReps:

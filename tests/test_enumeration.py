@@ -28,10 +28,10 @@ from seidel_forge.enumeration import (
 )
 from seidel_forge.exact_linalg import is_psd, max_eig_le, rank
 from seidel_forge.root_lattices import (
-    RootVector,
     classify_root_lattice,
     gram_determinant,
     inner,
+    orth_complement_in_E8,
     rank_and_discriminant,
     reflect,
     roots,
@@ -452,30 +452,36 @@ class TestBruteForce:
 
 class TestVerifiers:
     def test_fiber_n6(self):
-        report = verify_fiber_n6()
-        assert report["ok"], report["failures"]
-        assert report["rep_count"] == 10
-        assert report["distinct_keys"] == 9
-        assert report["duplicated_key"] == canonical_key(Graph.complete(6)).hex
-        assert len(report["fiber_subsets"]) == 2
-        assert report["lattice_ranks"] == [7, 7]
-        assert report["lattice_discriminants"] == [8, 8]
-        assert report["complement_min_norms"] == [2, 8]
-
-    def test_fiber_complement_of_other_rank_fails(self, monkeypatch):
-        # the min norm is read off a single generator; rank 2 must fail cleanly
-        plane = [RootVector((2, 2, 0, 0, 0, 0, 0, 0)), RootVector((2, -2, 0, 0, 0, 0, 0, 0))]
-        monkeypatch.setattr(enumeration, "orth_complement_in_E8", lambda generators: plane)
-        report = verify_fiber_n6()
-        assert not report["ok"]
-        assert report["complement_min_norms"] == []
-        assert sum("has rank 2 != 1" in f for f in report["failures"]) == 2
+        assert verify_fiber_n6() == []
+        reps = class_transversal(6)
+        keys = [phi(subset) for subset in reps]
+        k6_key = canonical_key(Graph.complete(6))
+        assert len(reps) == 10
+        assert len(set(keys)) == 9
+        assert [k for k in set(keys) if keys.count(k) > 1] == [k6_key]
+        fiber = [subset for subset, k in zip(reps, keys) if k == k6_key]
+        assert len(fiber) == 2
+        witnesses = [e8_witness(subset) for subset in fiber]
+        assert [w.lattice for w in witnesses] == [(7, 8), (7, 8)]
+        complements = [orth_complement_in_E8([*w.vectors, w.r]) for w in witnesses]
+        assert [len(c) for c in complements] == [1, 1]
+        assert sorted(inner(c[0], c[0]) for c in complements) == [2, 8]
 
     def test_cao_sampler(self):
-        report = verify_cao(samples=120, seed=3)
-        assert report["ok"], report["failures"]
-        assert report["bounded_cases"] > 0
-        assert report["samples"] == 120
+        failures, bounded = verify_cao(samples=120, seed=3)
+        assert failures == []
+        assert 0 < bounded < 120
+
+    def test_cao_failure_names_the_graph(self, monkeypatch):
+        # an edgeless "cone" makes A + 2I = 2I: PSD of full rank for every G
+        monkeypatch.setattr(enumeration, "cone", lambda G: Graph(G.n + 1, (0,) * (G.n + 1)))
+        failures, _ = verify_cao(samples=60, seed=2)
+        assert failures
+        for line in failures:
+            head, detail = line.split(": ")
+            n, bits = (int(field.split()[-1]) for field in head.split(", "))
+            rk, bounded = enumeration._rank_and_bound(Graph.from_triangle_bits(n, bits))
+            assert detail == (f"ranks {rk + 1} != {n + 1}" if bounded else "bound False vs cone True")
 
 
 class TestExports:

@@ -269,6 +269,18 @@ class TestHnf:
                 hnf(rows)
         assert hnf([[True, False], [0, 3]]) == ((1, 0), (0, 3))
 
+    def test_refuses_rows_of_unequal_length(self):
+        # a short row once dropped the longer one's tail or indexed past its end
+        for rows in ([[1], [0, 1]], [[0, 1], [1]], [[0], [1, 2]]):
+            with pytest.raises(ValueError, match="unequal length"):
+                hnf(rows)
+        # so a lattice is never named from vectors inner() refuses to pair
+        short, long = RootVector((2,)), RootVector((0, 2))
+        with pytest.raises(ValueError):
+            inner(short, long)
+        with pytest.raises(ValueError, match="unequal length"):
+            rank_and_discriminant([short, long])
+
     @settings(max_examples=100, deadline=None)
     @given(int_matrices(), st.randoms(use_true_random=False))
     def test_invariant_under_unimodular_row_ops(self, rows, rng):
